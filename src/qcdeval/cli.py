@@ -97,11 +97,11 @@ def parse_family_pair(text: str) -> tuple[Dist, Dist]:
     return event, censor
 
 
-def _workers(args) -> int | None:
+def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
     env = os.environ.get("QCD_EVAL_WORKERS")
-    return int(env) if env else None
+    return int(env) if env else 1
 
 
 def _detector_config(args) -> DetectorConfig:
@@ -113,7 +113,7 @@ def _detector_config(args) -> DetectorConfig:
     try:
         return DetectorConfig(
             kind=args.detector,
-            threshold=getattr(args, "threshold", 1.0) or 1.0,
+            threshold=getattr(args, "threshold", 1.0),
             model=model,
             omega=args.omega,
             ewma_lambda=args.ewma_lambda,
@@ -254,7 +254,6 @@ def cmd_oracle(args) -> int:
     if not args.model:
         raise CliError("oracle requires --model")
     model = parse_model(args.model)
-    args.threshold = args.threshold or 1.0
     config = _detector_config(args)
     if args.out:
         write_manifest(

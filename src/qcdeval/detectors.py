@@ -103,6 +103,8 @@ class DetectorConfig:
             raise ValueError("ewma_lambda must be in (0, 1]")
         if self.window_size < 1 or self.burn_in < 0:
             raise ValueError("invalid window_size / burn_in")
+        if self.kind == "ewma" and self.burn_in < 1:
+            raise ValueError("ewma needs burn_in >= 1 to estimate its control limits")
 
     def with_threshold(self, threshold: float) -> "DetectorConfig":
         return DetectorConfig(
@@ -166,7 +168,7 @@ def run_ewma(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutco
     if arr.shape[1] != 1:
         raise ValueError("ewma supports univariate sequences only")
     x = np.ascontiguousarray(arr[:, 0])
-    if x.size < config.burn_in or config.burn_in < 1:
+    if x.size < config.burn_in:
         return _outcome(seq_id, -1)
     head = x[: config.burn_in]
     mu0 = float(head.mean())

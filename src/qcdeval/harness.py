@@ -16,7 +16,6 @@ import io
 import json
 import logging
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -157,10 +156,9 @@ def _safe_run(values, config: DetectorConfig, seq_id: str) -> DetectionOutcome:
         return DetectionOutcome(id=seq_id, tau=INF)
 
 
-def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int | None = None):
-    """Run the detector on every sequence, in dataset order."""
-    if workers is None:
-        workers = os.cpu_count() or 1
+def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
+    """Run the detector on every sequence, in dataset order; ``workers`` > 1
+    fans the sequences out over a thread pool."""
     if workers <= 1 or len(dataset) <= 1:
         return [
             _safe_run(v, config, m.id) for m, v in zip(dataset.metas, dataset.values)
@@ -194,7 +192,7 @@ def sweep(
     config: DetectorConfig,
     thresholds,
     metrics,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SweepResult:
     """Evaluate the requested metrics at every threshold of the grid."""
     thresholds = tuple(float(t) for t in thresholds)

@@ -1,13 +1,14 @@
 """Ground-truth oracles and numerical theory checks.
 
-Three independent routes live here, deliberately separate from the estimator
-path they validate:
+Three routes live here:
 
 * Monte-Carlo true run length / detection delay on effectively infinite
-  streams (``true_arl_mc`` / ``true_add_mc``).
+  streams (``true_arl_mc`` / ``true_add_mc``), through one chunked
+  first-alarm loop in which each replication has its own changepoint.
 * Gauss-Legendre quadrature of the finite-sample bias-bound integrals for
   restricted means under random censoring (``bias_bounds``), together with a
-  Monte-Carlo bias measurement that must fall inside the bounds.
+  Monte-Carlo bias measurement of the estimator under test
+  (``rmst_km_batch``) that must fall inside the bounds.
 * An empirical check of the truncation-bias ordering between the
   censoring-aware and the selection-based estimators
   (``truncation_ordering_check``).
@@ -218,34 +219,64 @@ class MCEstimate:
 
 
 def _detector_state(config: DetectorConfig, n: int):
+    """Initial statistics, one-frame update and alarm level of gsr/cusum."""
     if config.kind == "gsr":
         init = math.log(config.omega) if config.omega > 0 else -math.inf
-        state = np.full(n, init)
         # Same exact-tie slack as the scan kernels.
-        log_thr = (
-            math.log(config.threshold) - 1e-12 if config.threshold > 0 else -math.inf
-        )
-
-        def step(state, llr):
-            return np.logaddexp(state, 0.0) + llr, log_thr
-
-    elif config.kind == "cusum":
-        state = np.zeros(n)
-
-        def step(state, llr):
-            return np.maximum(state + llr, 0.0), config.threshold
-
-    else:
-        raise ValueError(
-            f"monte-carlo oracle supports gsr/cusum only, got {config.kind}"
-        )
-    return state, step
+        thr = math.log(config.threshold) - 1e-12 if config.threshold > 0 else -math.inf
+        return np.full(n, init), lambda st, llr: np.logaddexp(st, 0.0) + llr, thr
+    if config.kind == "cusum":
+        return np.zeros(n), lambda st, llr: np.maximum(st + llr, 0.0), config.threshold
+    raise ValueError(f"monte-carlo oracle supports gsr/cusum only, got {config.kind}")
 
 
-def _gauss_params(model: LikelihoodModel):
-    if model.kind != "gaussian" and model.kind != "poisson":
-        raise ValueError(f"unsupported model: {model.kind}")
-    return model
+def _frames(model: LikelihoodModel, post: np.ndarray, rng: np.random.Generator):
+    """One chunk of frames: post-change where ``post`` is set, else pre-change.
+    Gaussian frames are built in place, so the chunk is the only large array."""
+    if model.kind == "gaussian":
+        x = math.sqrt(model.var) * rng.standard_normal(post.shape)
+        np.add(x, model.mu1, out=x, where=post)
+        np.add(x, model.mu0, out=x, where=~post)
+        return x
+    return rng.poisson(np.where(post, model.lam1, model.lam0)).astype(np.float64)
+
+
+def _first_alarms(
+    model: LikelihoodModel,
+    detector: DetectorConfig,
+    nus: np.ndarray,
+    horizon_cap: int,
+    rng: np.random.Generator,
+    chunk: int,
+) -> np.ndarray:
+    """First-alarm frame of each replication, -1 when none by horizon_cap.
+
+    Replication i runs the detector from frame 0 on pre-change frames before
+    its changepoint ``nus[i]`` and post-change frames from it on (inf: a
+    pre-change-only stream). Each chunk of frames is drawn for all active
+    replications at once; the detector then steps through it frame by frame.
+    """
+    tau = np.full(nus.size, -1, dtype=np.int64)
+    active = np.arange(nus.size)
+    state, step, thr = _detector_state(detector, nus.size)
+    t = 0
+    while active.size and t < horizon_cap:
+        width = min(chunk, horizon_cap - t)
+        post = (t + np.arange(width)) >= nus[active, None]
+        x = _frames(model, post, rng)
+        st = state[active]
+        alive = np.ones(active.size, dtype=bool)
+        for j in range(width):
+            st = step(st, model.llr(x[:, j]))
+            hit = alive & (st >= thr)
+            if hit.any():
+                tau[active[hit]] = t + j
+                alive &= ~hit
+        state[active] = st
+        active = active[alive]
+        t += width
+        del x  # free the chunk before the next is drawn: it sets peak memory
+    return tau
 
 
 def true_arl_mc(
@@ -261,32 +292,10 @@ def true_arl_mc(
     Errors out when 0.1% or more of the replications reach horizon_cap
     without an alarm, to keep the oracle itself free of truncation bias.
     """
-    _gauss_params(model)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    tau = np.full(n_reps, -1, dtype=np.int64)
-    active = np.arange(n_reps)
-    state, step = _detector_state(detector, n_reps)
-    sd = math.sqrt(model.var)
-    t = 0
-    while active.size and t < horizon_cap:
-        width = min(chunk, horizon_cap - t)
-        if model.kind == "gaussian":
-            x = rng.normal(model.mu0, sd, size=(active.size, width))
-        else:
-            x = rng.poisson(model.lam0, size=(active.size, width)).astype(np.float64)
-        llr = model.llr(x)
-        st = state[active]
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(width):
-            st, thr = step(st, llr[:, j])
-            hit = alive & (st >= thr)
-            if hit.any():
-                tau[active[hit]] = t + j
-                alive &= ~hit
-        state[active] = st
-        active = active[alive]
-        t += width
-    n_cap = active.size
+    nus = np.full(n_reps, math.inf)
+    tau = _first_alarms(model, detector, nus, horizon_cap, rng, chunk)
+    n_cap = int(np.sum(tau < 0))
     cap_fraction = n_cap / n_reps
     if cap_fraction >= 1e-3:
         raise RuntimeError(
@@ -317,7 +326,6 @@ def true_add_mc(
     before the change (false alarms) are discarded. The cap error applies to
     the retained replications.
     """
-    _gauss_params(model)
     law = tuple(changepoint_law)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if law[0] == "geometric":
@@ -326,37 +334,7 @@ def true_add_mc(
         nus = np.full(n_reps, float(law[1]))
     else:
         raise ValueError(f"unsupported changepoint law for the oracle: {law[0]}")
-
-    tau = np.full(n_reps, -1, dtype=np.int64)
-    active = np.arange(n_reps)
-    state, step = _detector_state(detector, n_reps)
-    sd = math.sqrt(model.var)
-    t = 0
-    while active.size and t < horizon_cap:
-        width = min(chunk, horizon_cap - t)
-        nu_a = nus[active]
-        if model.kind == "gaussian":
-            z = rng.standard_normal((active.size, width))
-        st = state[active]
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(width):
-            post = (t + j) >= nu_a
-            if model.kind == "gaussian":
-                x = np.where(post, model.mu1, model.mu0) + sd * z[:, j]
-            else:
-                x = np.where(
-                    post,
-                    rng.poisson(model.lam1, size=active.size),
-                    rng.poisson(model.lam0, size=active.size),
-                ).astype(np.float64)
-            st, thr = step(st, model.llr(x))
-            hit = alive & (st >= thr)
-            if hit.any():
-                tau[active[hit]] = t + j
-                alive &= ~hit
-        state[active] = st
-        active = active[alive]
-        t += width
+    tau = _first_alarms(model, detector, nus, horizon_cap, rng, chunk)
 
     alarmed = tau >= 0
     retained = alarmed & (tau >= nus)

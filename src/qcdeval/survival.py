@@ -88,6 +88,47 @@ class RestrictedMean:
     variance_clamped: bool = False
 
 
+def _product_limit(times: np.ndarray, events: np.ndarray):
+    """Product-limit fit of every row of (rows, n) time/event arrays.
+
+    Rows are sorted by time; samples with equal times form a tie group. At
+    each sorted position ``at_risk`` counts the samples at or after its time,
+    so a censoring tied with an event is still at risk (events first), and
+    ``deaths`` counts the group's events up to it. The last position of a
+    group with events is a drop, and ``surv`` is the survival just after it.
+    Returns the sorted times and the (drop, at_risk, deaths, surv) arrays.
+    """
+    rows, n = times.shape
+    order = np.argsort(times, axis=1)
+    t = np.take_along_axis(times, order, axis=1)
+    e = np.take_along_axis(events, order, axis=1)
+
+    new_time = np.ones((rows, n), dtype=bool)
+    new_time[:, 1:] = t[:, 1:] != t[:, :-1]
+    start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
+    at_risk = n - start
+    seen = np.cumsum(e, axis=1)
+    deaths = seen - np.take_along_axis(seen - e, start, axis=1)
+    drop = deaths > 0
+    drop[:, :-1] &= new_time[:, 1:]
+    surv = np.cumprod(np.where(drop, 1.0 - deaths / at_risk, 1.0), axis=1)
+    return t, drop, at_risk, deaths, surv
+
+
+def _steps(drops: np.ndarray, surv: np.ndarray, upper_limit: float):
+    """Intervals of step curves on [0, upper_limit].
+
+    ``drops`` and ``surv`` are (rows, k) drop times below the limit and the
+    survival from each on; the curve is 1 before the first drop. Returns the
+    (rows, k + 1) left ends, right ends and curve values of the intervals.
+    """
+    rows = drops.shape[0]
+    lefts = np.concatenate((np.zeros((rows, 1)), drops), axis=1)
+    rights = np.concatenate((drops, np.full((rows, 1), upper_limit)), axis=1)
+    s_vals = np.concatenate((np.ones((rows, 1)), surv), axis=1)
+    return lefts, rights, s_vals
+
+
 def fit_km(samples: list[SurvivalSample]) -> StepSurvivalCurve:
     """Fit the product-limit curve to right-censored samples.
 
@@ -99,28 +140,16 @@ def fit_km(samples: list[SurvivalSample]) -> StepSurvivalCurve:
         raise ValueError("no samples")
     times = np.array([s.time for s in samples], dtype=np.float64)
     events = np.array([s.event for s in samples], dtype=bool)
-    if times.size and (not np.all(np.isfinite(times)) or np.any(times < 0)):
-        raise ValueError("invalid sample")
-
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    events = events[order]
-
-    drop_times = np.unique(times[events])
-    at_risk = np.empty(drop_times.size, dtype=np.int64)
-    deaths = np.empty(drop_times.size, dtype=np.int64)
-    for j, t in enumerate(drop_times):
-        at_risk[j] = int(np.sum(times >= t))
-        deaths[j] = int(np.sum(events & (times == t)))
-    survival_values = np.cumprod(1.0 - deaths / at_risk)
-
+    t, drop, at_risk, deaths, surv = (
+        a[0] for a in _product_limit(times[None], events[None])
+    )
     return StepSurvivalCurve(
-        drop_times=drop_times,
-        survival_values=survival_values,
-        at_risk=at_risk,
-        deaths=deaths,
+        drop_times=t[drop],
+        survival_values=surv[drop],
+        at_risk=at_risk[drop],
+        deaths=deaths[drop],
         n_samples=len(samples),
-        max_observed=float(times.max()),
+        max_observed=float(t[-1]),
     )
 
 
@@ -135,15 +164,11 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
         raise ValueError(f"invalid upper_limit: {upper_limit!r}")
     a = float(upper_limit)
 
-    # Interval boundaries: 0, each drop time below a, then a itself.
-    drops = curve.drop_times[curve.drop_times < a]
-    lefts = np.concatenate(([0.0], drops))
-    rights = np.concatenate((drops, [a]))
-    # S is 1 before the first drop, survival_values[k] after drop k.
-    s_vals = np.concatenate(([1.0], curve.survival_values[: drops.size]))
-
-    widths = rights - lefts
-    value = float(np.sum(s_vals * widths))
+    k = int(np.sum(curve.drop_times < a))
+    lefts, rights, s_vals = _steps(
+        curve.drop_times[None, :k], curve.survival_values[None, :k], a
+    )
+    value = float(np.sum(s_vals * (rights - lefts)))
     second_moment = float(np.sum(s_vals * (rights**2 - lefts**2)))
     variance = second_moment - value**2
     clamped = variance < 0.0
@@ -172,31 +197,27 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     """Restricted means of product-limit fits for many replications at once.
 
     ``times`` and ``events`` are (reps, n) arrays; each row is one dataset.
-    Agrees with fit_km + rmst row by row (tested); used by the Monte-Carlo
-    side of the bias-bound verification where fitting rows one at a time
-    would dominate the runtime.
+    Row i is the same fit and the same step integral as
+    ``rmst(fit_km(row i), upper_limit).value``; used by the Monte-Carlo side
+    of the bias-bound verification, where fitting rows one at a time would
+    dominate the runtime.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
-    reps, n = times.shape
     a = float(upper_limit)
+    t, drop, _, _, surv = _product_limit(times, events)
 
-    # Sort each row by time with events before censorings at ties, so the
-    # per-sample factors (1 - delta_i / (n - i)) telescope into the grouped
-    # product-limit formula.
-    tie_key = np.where(events, 0, 1)
-    order = np.lexsort((tie_key, times), axis=-1)
-    t_sorted = np.take_along_axis(times, order, axis=1)
-    e_sorted = np.take_along_axis(events, order, axis=1)
-
-    ranks = np.arange(n, dtype=np.float64)
-    factors = np.where(e_sorted, 1.0 - 1.0 / (n - ranks), 1.0)
-    surv = np.cumprod(factors, axis=1)  # S just after each sorted sample
-
-    # Integrate the step function: S = 1 on [0, t_0), surv[:, i] on
-    # [t_i, t_{i+1}), held at surv[:, -1] beyond t_{n-1}; clip to [0, a].
-    t_clip = np.minimum(t_sorted, a)
-    lefts = np.concatenate((np.zeros((reps, 1)), t_clip), axis=1)
-    rights = np.concatenate((t_clip, np.full((reps, 1), a)), axis=1)
-    s_vals = np.concatenate((np.ones((reps, 1)), surv), axis=1)
-    return np.sum(s_vals * (rights - lefts), axis=1)
+    # Rows with the same number k of drops below a share one (rows, k + 1)
+    # interval table, so each row sums exactly the terms rmst sums.
+    keep = drop & (t < a)
+    counts = keep.sum(axis=1)
+    values = np.empty(times.shape[0])
+    for k in np.unique(counts):
+        sel = counts == k
+        mask = keep[sel]
+        shape = (mask.shape[0], k)
+        lefts, rights, s_vals = _steps(
+            t[sel][mask].reshape(shape), surv[sel][mask].reshape(shape), a
+        )
+        values[sel] = np.sum(s_vals * (rights - lefts), axis=1)
+    return values

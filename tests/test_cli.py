@@ -103,6 +103,46 @@ class TestSubcommands:
         assert obj["km-arl"]["value"] == pytest.approx(3.0)
         assert obj["km-arl"]["n_used"] == 3
 
+    def test_evaluate_threshold_zero(self, tmp_path):
+        # Threshold 0 is a valid threshold, not "unset": GSR alarms at frame
+        # 0 on every sequence.
+        data = tmp_path / "d.jsonl"
+        rows = [
+            {"id": "a", "values": [0.0] * 10, "nu": None},
+            {"id": "b", "values": [0.0] * 10, "nu": 5},
+            {"id": "c", "values": [0.0] * 6, "nu": None},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "m.json"
+        code = main(
+            [
+                "evaluate",
+                "--data", str(data),
+                "--detector", "gsr",
+                "--model", "gaussian:0,0.1,0.1",
+                "--threshold", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        obj = json.loads(out.read_text())
+        assert obj["lb-arl"]["value"] == 0.0
+        assert obj["km-arl"]["value"] == 0.0
+        assert obj["km-arl"]["n_used"] == 3
+
+    def test_ewma_zero_burn_in_exit_2(self, tmp_path, data_file):
+        code = main(
+            [
+                "evaluate",
+                "--data", str(data_file),
+                "--detector", "ewma",
+                "--burn-in", "0",
+                "--threshold", "3",
+                "--out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == 2
+
     def test_curve_and_svg(self, tmp_path, data_file):
         out = tmp_path / "curve.csv"
         svg = tmp_path / "curve.svg"

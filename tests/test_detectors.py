@@ -245,3 +245,11 @@ class TestConfigValidation:
             DetectorConfig(kind="gsr", threshold=1.0, model=GAUSS, omega=-1.0)
         with pytest.raises(ValueError):
             DetectorConfig(kind="nope", threshold=1.0)
+
+    def test_ewma_needs_burn_in(self):
+        # With no burn-in frames EWMA has no control limits and never alarms,
+        # even on a 50-sigma step; the config rejects it up front.
+        with pytest.raises(ValueError, match="burn_in"):
+            DetectorConfig(kind="ewma", threshold=3.0, burn_in=0)
+        cfg = DetectorConfig(kind="window-l1", threshold=3.0, burn_in=0)
+        assert cfg.burn_in == 0

@@ -14,6 +14,11 @@ from qcdeval.oracle import (
 )
 
 GAUSS = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1)
+POISSON = LikelihoodModel(kind="poisson", lam0=1.0, lam1=2.0)
+
+
+def mean_sem(taus):
+    return float(np.mean(taus)), float(np.std(taus, ddof=1) / math.sqrt(len(taus)))
 
 
 class TestDist:
@@ -136,6 +141,21 @@ class TestTrueARL:
         sem = float(np.std(taus, ddof=1) / math.sqrt(len(taus)))
         assert abs(mean - est.value) <= 4 * math.hypot(sem, est.sem)
 
+    def test_poisson_matches_sequence_detector(self):
+        from qcdeval.detectors import run_detector
+
+        cfg = DetectorConfig(kind="cusum", threshold=3.0, model=POISSON)
+        est = true_arl_mc(POISSON, cfg, n_reps=4000, horizon_cap=10_000, seed=5)
+        rng = np.random.default_rng(99)
+        taus = []
+        for _ in range(1000):
+            x = rng.poisson(1.0, 5000).astype(np.float64)
+            tau = run_detector(x, cfg).tau
+            assert tau != math.inf
+            taus.append(tau)
+        mean, sem = mean_sem(taus)
+        assert abs(mean - est.value) <= 4 * math.hypot(sem, est.sem)
+
 
 class TestTrueADD:
     def test_nu_zero_matches_full_post_change(self):
@@ -145,6 +165,25 @@ class TestTrueADD:
         )
         assert est.retention_fraction == 1.0
         assert est.value > 0
+
+    def test_poisson_nu_zero(self):
+        # Changepoint 0: every frame is post-change, so no replication can
+        # false-alarm and the delay is the first-alarm time on post-change
+        # streams.
+        from qcdeval.detectors import run_detector
+
+        cfg = DetectorConfig(kind="gsr", threshold=50.0, model=POISSON)
+        kw = dict(n_reps=3000, horizon_cap=20_000, seed=4)
+        est = true_add_mc(POISSON, cfg, ("fixed", 0), **kw)
+        assert est.retention_fraction == 1.0
+        assert est == true_add_mc(POISSON, cfg, ("fixed", 0), **kw)
+        rng = np.random.default_rng(7)
+        taus = [
+            run_detector(rng.poisson(2.0, 500).astype(np.float64), cfg).tau
+            for _ in range(1000)
+        ]
+        mean, sem = mean_sem(taus)
+        assert abs(mean - est.value) <= 4 * math.hypot(sem, est.sem)
 
     def test_geometric_law_runs(self):
         cfg = DetectorConfig(kind="gsr", threshold=50.0, model=GAUSS)

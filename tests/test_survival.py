@@ -18,6 +18,20 @@ def S(time, event):
     return SurvivalSample(time=time, event=event)
 
 
+def fit_km_reference(samples):
+    """Per-drop-time loop: risk set and deaths counted directly at each
+    distinct event time."""
+    times = np.array([s.time for s in samples], dtype=np.float64)
+    events = np.array([s.event for s in samples], dtype=bool)
+    drop_times = np.unique(times[events])
+    at_risk = np.empty(drop_times.size, dtype=np.int64)
+    deaths = np.empty(drop_times.size, dtype=np.int64)
+    for j, t in enumerate(drop_times):
+        at_risk[j] = int(np.sum(times >= t))
+        deaths[j] = int(np.sum(events & (times == t)))
+    return drop_times, np.cumprod(1.0 - deaths / at_risk), at_risk, deaths
+
+
 class TestFitKM:
     def test_hand_curve(self):
         curve = fit_km([S(1, True), S(2, False), S(3, True)])
@@ -75,6 +89,21 @@ class TestFitKM:
         for t in range(-1, 22):
             emp = sum(1 for v in times if v > t) / n
             assert curve.survival_at(float(t)) == pytest.approx(emp, abs=1e-12)
+
+
+    def test_matches_per_drop_loop_exactly(self):
+        # Integer times give event/event and event/censoring ties.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            times = rng.integers(0, int(rng.integers(1, 12)), n)
+            events = rng.random(n) < rng.random()
+            samples = [S(float(t), bool(e)) for t, e in zip(times, events)]
+            curve = fit_km(samples)
+            got = (curve.drop_times, curve.survival_values, curve.at_risk, curve.deaths)
+            for g, want in zip(got, fit_km_reference(samples)):
+                assert g.dtype == want.dtype
+                assert np.array_equal(g, want)
 
 
 class TestRMST:
@@ -156,6 +185,19 @@ class TestBatchRMST:
             assert batch[i] == pytest.approx(
                 rmst(fit_km(samples), 1.0).value, abs=1e-12
             )
+
+    def test_exact_on_tie_free_rows(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 9, 40):
+            ev = rng.exponential(1.0, (200, n))
+            ce = rng.uniform(0.0, 2.0, (200, n))
+            times, events = np.minimum(ev, ce), ev < ce
+            batch = rmst_km_batch(times, events, 1.0)
+            single = [
+                rmst(fit_km([S(float(t), bool(e)) for t, e in zip(tr, er)]), 1.0).value
+                for tr, er in zip(times, events)
+            ]
+            assert batch.tolist() == single
 
     def test_ties_match_single_fit(self):
         # Integer times force event/censoring ties; the batch path must use
