@@ -6,7 +6,6 @@ product-limit estimator recovers mean run length and mean detection delay
 without the selection bias of averaging only the observed alarms.
 """
 
-from ._kernels import USING_COMPILED
 from .detectors import (
     DETECTOR_KINDS,
     DetectorConfig,
@@ -36,6 +35,10 @@ from .survival import (
 )
 
 __version__ = "0.1.0"
+
+# Kept for callers that record which scan backend ran: the numpy kernels in
+# qcdeval._kernels are the only one.
+USING_COMPILED = False
 
 __all__ = [
     "__version__",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -97,13 +96,6 @@ def parse_family_pair(text: str) -> tuple[Dist, Dist]:
     return event, censor
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("QCD_EVAL_WORKERS")
-    return int(env) if env else 1
-
-
 def _detector_config(args) -> DetectorConfig:
     model = None
     if args.detector in ("gsr", "cusum"):
@@ -145,7 +137,7 @@ def _add_common(p):
     # None means "not given": simulate then defers to the seed in the spec
     # file; every other subcommand falls back to 0.
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--manifest", default=None, help="manifest path (default <out>.manifest.json)")
 
 
@@ -157,14 +149,7 @@ def cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         spec = SimSpec.from_json(json.load(fh))
     if args.seed is not None:
-        spec = SimSpec(
-            model=spec.model,
-            n_sequences=spec.n_sequences,
-            length_law=spec.length_law,
-            changepoint_law=spec.changepoint_law,
-            with_change_fraction=spec.with_change_fraction,
-            seed=args.seed,
-        )
+        spec = dataclasses.replace(spec, seed=args.seed)
     write_manifest(
         _manifest_path(args, args.out),
         command="simulate",
@@ -192,7 +177,7 @@ def cmd_evaluate(args) -> int:
         seed=args.seed,
         dataset_hash=dataset.content_hash(),
     )
-    outcomes = run_all(dataset, config, _workers(args))
+    outcomes = run_all(dataset, config, args.workers)
     results = {
         name: compute_metric(name, dataset.metas, outcomes).to_json()
         for name in metrics
@@ -219,7 +204,7 @@ def cmd_curve(args) -> int:
         dataset_hash=dataset.content_hash(),
     )
     try:
-        result = sweep(dataset, config, grid, metrics, workers=_workers(args))
+        result = sweep(dataset, config, grid, metrics, workers=args.workers)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     emit_curve(result, args.out, fmt="csv")
@@ -240,7 +225,7 @@ def cmd_survival(args) -> int:
         seed=args.seed,
         dataset_hash=dataset.content_hash(),
     )
-    outcomes = run_all(dataset, config, _workers(args))
+    outcomes = run_all(dataset, config, args.workers)
     builder = arl_samples if args.kind == "arl" else add_samples
     samples = builder(dataset.metas, outcomes)
     if not samples:

@@ -8,12 +8,19 @@ model-free.
 
 All detectors are causal: the alarm time computed on a prefix never changes
 when the sequence is extended.
+
+GSR, CUSUM and EWMA scan through ``qcdeval._kernels``. GSR and CUSUM compute
+their statistics from prefix sums over fixed blocks of frames, carrying log R
+or W across each block edge, so they stay within rounding of the per-frame
+recursion at every length. Both alarm once the statistic is within 1e-12 of
+the threshold, so an exact tie alarms whatever arithmetic reached it; the
+Monte-Carlo oracle applies the same slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,15 +114,7 @@ class DetectorConfig:
             raise ValueError("ewma needs burn_in >= 1 to estimate its control limits")
 
     def with_threshold(self, threshold: float) -> "DetectorConfig":
-        return DetectorConfig(
-            kind=self.kind,
-            threshold=threshold,
-            model=self.model,
-            omega=self.omega,
-            ewma_lambda=self.ewma_lambda,
-            window_size=self.window_size,
-            burn_in=self.burn_in,
-        )
+        return replace(self, threshold=threshold)
 
 
 def _as_matrix(values) -> np.ndarray:

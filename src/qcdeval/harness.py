@@ -73,7 +73,15 @@ def _parse_record(obj: dict, line_no: int):
         raise ValueError(f"malformed record at line {line_no}: {exc}") from None
     if values.ndim not in (1, 2) or values.shape[0] == 0:
         raise ValueError(f"malformed record at line {line_no}: bad values shape")
+    _check_finite(values, line_no)
     return seq_id, values, INF if nu is None else float(nu)
+
+
+def _check_finite(values: np.ndarray, line_no: int) -> None:
+    # A NaN or infinite frame would never alarm some detectors and be
+    # counted as a censored run instead of failing.
+    if not np.isfinite(values).all():
+        raise ValueError(f"malformed record at line {line_no}: non-finite value")
 
 
 def _iter_jsonl(path):
@@ -102,6 +110,7 @@ def _iter_csv(path):
                 values = np.array([float(v) for v in row[2:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"malformed record at line {line_no}: {exc}") from None
+            _check_finite(values, line_no)
             yield row[0], values, nu
 
 
@@ -111,7 +120,8 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     Sequences shorter than ``min_length`` are dropped; records whose
     changepoint does not index an observed frame (nu >= T) are rejected.
     Both are counted in the report attached as ``dataset.ingest_report``.
-    Structurally malformed records raise with their line number.
+    Structurally malformed records, and records holding a NaN or infinite
+    frame, raise with their line number.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")

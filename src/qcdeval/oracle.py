@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._kernels import TIE_SLACK
 from .detectors import DetectorConfig, LikelihoodModel
 from .metrics import MetricEstimate
 from .survival import rmst_km_batch
@@ -220,13 +221,14 @@ class MCEstimate:
 
 def _detector_state(config: DetectorConfig, n: int):
     """Initial statistics, one-frame update and alarm level of gsr/cusum."""
+    # Same exact-tie slack as the scan kernels.
     if config.kind == "gsr":
         init = math.log(config.omega) if config.omega > 0 else -math.inf
-        # Same exact-tie slack as the scan kernels.
-        thr = math.log(config.threshold) - 1e-12 if config.threshold > 0 else -math.inf
+        thr = math.log(config.threshold) - TIE_SLACK if config.threshold > 0 else -math.inf
         return np.full(n, init), lambda st, llr: np.logaddexp(st, 0.0) + llr, thr
     if config.kind == "cusum":
-        return np.zeros(n), lambda st, llr: np.maximum(st + llr, 0.0), config.threshold
+        thr = config.threshold - TIE_SLACK
+        return np.zeros(n), lambda st, llr: np.maximum(st + llr, 0.0), thr
     raise ValueError(f"monte-carlo oracle supports gsr/cusum only, got {config.kind}")
 
 

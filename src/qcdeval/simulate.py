@@ -123,10 +123,14 @@ class LabeledDataset:
         return len(self.metas)
 
     def content_hash(self) -> str:
+        """SHA-256 over each sequence's id, changepoint and shape (as a JSON
+        header) followed by its frames as little-endian float64 bytes."""
         h = hashlib.sha256()
-        for line in _jsonl_lines(self):
-            h.update(line.encode())
-            h.update(b"\n")
+        for meta, vals in zip(self.metas, self.values):
+            arr = np.asarray(vals, dtype="<f8")
+            header = [meta.id, float(meta.changepoint_nu), list(arr.shape)]
+            h.update(json.dumps(header).encode())
+            h.update(arr.tobytes())
         return h.hexdigest()
 
 

@@ -231,6 +231,51 @@ class TestSubcommands:
         )
         assert code == 0
 
+    def _evaluate_gsr(self, tmp_path, data, *extra):
+        return main(
+            [
+                "evaluate",
+                "--data", str(data),
+                "--detector", "gsr",
+                "--model", "gaussian:0,0.1,0.1",
+                "--threshold", "4",
+                "--out", str(tmp_path / "o.json"),
+                *extra,
+            ]
+        )
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_jsonl_frame_exit_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 0.0, 0.0], "nu": null}\n'
+            f'{{"id": "b", "values": [0.0, {bad}, 0.0], "nu": null}}\n'
+        )
+        assert self._evaluate_gsr(tmp_path, data) == 2
+        assert "line 2: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_frame_exit_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "d.csv"
+        data.write_text(f"a,,0.0,0.0,0.0\nb,,0.0,{bad},0.0\n")
+        assert self._evaluate_gsr(tmp_path, data) == 2
+        assert "line 2: non-finite value" in capsys.readouterr().err
+
+    def test_worker_env_var_ignored(self, tmp_path, data_file, monkeypatch):
+        import qcdeval.cli
+
+        seen = []
+        run_all = qcdeval.cli.run_all
+        monkeypatch.setattr(
+            qcdeval.cli,
+            "run_all",
+            lambda ds, cfg, workers: seen.append(workers) or run_all(ds, cfg, workers),
+        )
+        monkeypatch.setenv("QCD_EVAL_WORKERS", "8")
+        assert self._evaluate_gsr(tmp_path, data_file) == 0
+        assert self._evaluate_gsr(tmp_path, data_file, "--workers", "3") == 0
+        assert seen == [1, 3]
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["evaluate", "--bogus"]) == 2
 

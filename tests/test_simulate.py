@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcdeval.detectors import LikelihoodModel
-from qcdeval.metrics import INF
+from qcdeval.metrics import INF, SequenceMeta
 from qcdeval.simulate import (
     LabeledDataset,
     SimSpec,
@@ -173,6 +173,25 @@ class TestPersistence:
         assert back.content_hash() == ds.content_hash()
         meta = json.loads((tmp_path / "data.jsonl.meta.json").read_text())
         assert SimSpec.from_json(meta) == ds.provenance
+
+    def test_hash_sees_ids_nu_values_and_shape(self):
+        def dataset(ids=("a", "b"), nus=(3.0, INF), last=1.5, shape=(4,)):
+            metas = [SequenceMeta(id=i, length_T=4, changepoint_nu=nu)
+                     for i, nu in zip(ids, nus)]
+            values = [np.arange(4.0).reshape(shape), np.array([0.0, 1.0, 2.0, last])]
+            return LabeledDataset(metas=metas, values=values)
+
+        base = dataset().content_hash()
+        assert dataset().content_hash() == base
+        variants = [
+            dataset(ids=("a", "c")),
+            dataset(nus=(2.0, INF)),
+            dataset(nus=(3.0, 1.0)),
+            dataset(last=1.25),
+            dataset(shape=(4, 1)),
+        ]
+        hashes = {d.content_hash() for d in variants}
+        assert len(hashes) == len(variants) and base not in hashes
 
     def test_nu_null_encoding(self, tmp_path):
         ds = simulate(spec(with_change_fraction=0.0, n_sequences=2))
