@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, evaluate, curve, survival, oracle, verify-bounds.
-Exit codes: 0 success, 2 validation/usage error, 3 verification failure.
+Exit codes: 0 success, 2 validation/usage error (``CliError``, ``OSError`` or
+``ValueError``, mapped in ``main``), 3 verification failure.
 Every run writes a manifest JSON before its result files.
 """
 
@@ -102,26 +103,20 @@ def _detector_config(args) -> DetectorConfig:
         if not args.model:
             raise CliError(f"{args.detector} requires --model")
         model = parse_model(args.model)
-    try:
-        return DetectorConfig(
-            kind=args.detector,
-            threshold=getattr(args, "threshold", 1.0),
-            model=model,
-            omega=args.omega,
-            ewma_lambda=args.ewma_lambda,
-            window_size=args.window_size,
-            burn_in=args.burn_in,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return DetectorConfig(
+        kind=args.detector,
+        threshold=getattr(args, "threshold", 1.0),
+        model=model,
+        omega=args.omega,
+        ewma_lambda=args.ewma_lambda,
+        window_size=args.window_size,
+        burn_in=args.burn_in,
+    )
 
 
 def _load(args):
     fmt = "csv" if str(args.data).endswith(".csv") else "jsonl"
-    try:
-        return ingest(args.data, fmt=fmt, min_length=args.min_length)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
+    return ingest(args.data, fmt=fmt, min_length=args.min_length)
 
 
 def _add_detector_flags(p):
@@ -203,10 +198,7 @@ def cmd_curve(args) -> int:
         seed=args.seed,
         dataset_hash=dataset.content_hash(),
     )
-    try:
-        result = sweep(dataset, config, grid, metrics, workers=args.workers)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    result = sweep(dataset, config, grid, metrics, workers=args.workers)
     emit_curve(result, args.out, fmt="csv")
     if args.svg:
         emit_curve(result, args.svg, fmt="svg")
@@ -253,7 +245,7 @@ def cmd_oracle(args) -> int:
             model, config, n_reps=args.reps, horizon_cap=args.horizon_cap,
             seed=args.seed,
         )
-    except (RuntimeError, ValueError) as exc:
+    except RuntimeError as exc:
         raise CliError(str(exc)) from None
     payload = {
         "true_arl": est.value,
@@ -388,10 +380,7 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

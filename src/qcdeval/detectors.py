@@ -1,20 +1,25 @@
 """Online changepoint detectors producing first-alarm times.
 
-Five detectors share one calling convention: ``run_detector(values, config)``
-returns the first frame at which the statistic crosses the configured
-threshold, or inf. GSR and CUSUM are likelihood-ratio based and need a
-model of the pre/post distributions; EWMA and the two window detectors are
-model-free.
+Five detectors share one calling convention. ``alarm_frames(values, config,
+thresholds)`` returns the first frame at which the statistic reaches each
+threshold, or -1 where it never does; every detector alarms at the first
+frame where its statistic reaches the threshold, so one scan of the
+sequence serves every threshold. ``run_detector(values, config)`` is its
+one-threshold case at ``config.threshold``, returning the alarm as a
+``DetectionOutcome`` (tau = inf for no alarm). GSR and CUSUM are
+likelihood-ratio based and need a model of the pre/post distributions; EWMA
+and the two window detectors are model-free.
 
 All detectors are causal: the alarm time computed on a prefix never changes
 when the sequence is extended.
 
-GSR, CUSUM and EWMA scan through ``qcdeval._kernels``. GSR and CUSUM compute
-their statistics from prefix sums over fixed blocks of frames, carrying log R
-or W across each block edge, so they stay within rounding of the per-frame
-recursion at every length. Both alarm once the statistic is within 1e-12 of
-the threshold, so an exact tie alarms whatever arithmetic reached it; the
-Monte-Carlo oracle applies the same slack.
+GSR, CUSUM and EWMA scan through ``qcdeval._kernels``, and every detector
+reads its alarms off its statistic with ``_kernels.first_crossings``. GSR and
+CUSUM compute their statistics from prefix sums over fixed blocks of frames,
+carrying log R or W across each block edge, so they stay within rounding of
+the per-frame recursion at every length. Both alarm once the statistic is
+within 1e-12 of the threshold, so an exact tie alarms whatever arithmetic
+reached it; the Monte-Carlo oracle applies the same slack.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "run_ewma",
     "run_window",
     "run_detector",
+    "alarm_frames",
     "DETECTOR_KINDS",
 ]
 
@@ -136,31 +142,29 @@ def _scalar_series(values) -> np.ndarray:
     return np.linalg.norm(arr, axis=1)
 
 
-def _outcome(seq_id: str, t: int) -> DetectionOutcome:
-    return DetectionOutcome(id=seq_id, tau=INF if t < 0 else float(t))
-
-
-def run_gsr(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:
+def _gsr_frames(values, config: DetectorConfig, thresholds):
     """Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t), R(-1) = omega,
     computed in log space; alarm at R >= threshold."""
     arr = _as_matrix(values)
     if arr.shape[1] != 1:
         raise ValueError("gsr supports univariate sequences only")
-    llr = np.ascontiguousarray(config.model.llr(arr[:, 0]))
-    log_thr = math.log(config.threshold) if config.threshold > 0 else -INF
-    t = _kernels.gsr_first_alarm(llr, log_thr, config.omega)
-    return _outcome(seq_id, t)
+    llr = config.model.llr(arr[:, 0])
+    # math.log one threshold at a time, not a vectorised np.log: the two
+    # differ in the last bit for some thresholds, and log h sets the level
+    # that exact ties are resolved against.
+    log_thr = [math.log(h) if h > 0 else -INF for h in np.ravel(thresholds)]
+    return _kernels.gsr_first_alarm(
+        llr, np.reshape(log_thr, np.shape(thresholds)), config.omega
+    )
 
 
-def run_cusum(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:
+def _cusum_frames(values, config: DetectorConfig, thresholds):
     """Page recursion W(t) = max(0, W(t-1) + llr_t); alarm at W >= threshold."""
-    series = _scalar_series(values)
-    llr = np.ascontiguousarray(config.model.llr(series))
-    t = _kernels.cusum_first_alarm(llr, config.threshold)
-    return _outcome(seq_id, t)
+    llr = config.model.llr(_scalar_series(values))
+    return _kernels.cusum_first_alarm(llr, thresholds)
 
 
-def run_ewma(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:
+def _ewma_frames(values, config: DetectorConfig, thresholds):
     """Exponentially weighted moving average with exact time-varying control
     limits estimated from the burn-in frames."""
     arr = _as_matrix(values)
@@ -168,16 +172,15 @@ def run_ewma(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutco
         raise ValueError("ewma supports univariate sequences only")
     x = np.ascontiguousarray(arr[:, 0])
     if x.size < config.burn_in:
-        return _outcome(seq_id, -1)
+        return _kernels.first_crossings(x[:0], thresholds)  # no frame alarms
     head = x[: config.burn_in]
     mu0 = float(head.mean())
     sigma0 = float(head.std(ddof=1)) if head.size > 1 else 0.0
     if sigma0 == 0.0:
         sigma0 = _EPS  # degenerate-scale guard: any deviation alarms
-    t = _kernels.ewma_first_alarm(
-        x, config.ewma_lambda, config.threshold, config.burn_in, mu0, sigma0
+    return _kernels.ewma_first_alarm(
+        x, config.ewma_lambda, thresholds, config.burn_in, mu0, sigma0
     )
-    return _outcome(seq_id, t)
 
 
 def _l1_cost(windows: np.ndarray) -> np.ndarray:
@@ -193,7 +196,7 @@ def _normal_cost(windows: np.ndarray) -> np.ndarray:
     return 0.5 * width * np.log(var + 1e-12).sum(axis=1)
 
 
-def run_window(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:
+def _window_frames(values, config: DetectorConfig, thresholds):
     """Two-sample window scan: at each frame the trailing 2w frames are split
     in half and the cost gain of the split is the discrepancy statistic.
 
@@ -204,7 +207,7 @@ def run_window(values, config: DetectorConfig, seq_id: str = "") -> DetectionOut
     n = arr.shape[0]
     first_t = config.burn_in + 2 * w - 1
     if n <= first_t:
-        return _outcome(seq_id, -1)
+        return _kernels.first_crossings(arr[:0, 0], thresholds)  # no frame alarms
 
     cost = _l1_cost if config.kind == "window-l1" else _normal_cost
     joint = np.lib.stride_tricks.sliding_window_view(arr, 2 * w, axis=0)
@@ -214,23 +217,39 @@ def run_window(values, config: DetectorConfig, seq_id: str = "") -> DetectionOut
     joint_cost = cost(np.moveaxis(joint, -1, 1))
     half_cost = cost(np.moveaxis(halves, -1, 1))
 
-    # Right edge t corresponds to joint window starting at t - 2w + 1.
+    # The joint window starting at r has its right edge at t = r + 2w - 1;
+    # the gain is padded in front so that it is indexed by t.
     starts = np.arange(n - 2 * w + 1)
-    d = joint_cost - half_cost[starts] - half_cost[starts + w]
-    t_edges = starts + 2 * w - 1
-    ok = t_edges >= first_t
-    hits = np.nonzero(ok & (d >= config.threshold))[0]
-    return _outcome(seq_id, int(t_edges[hits[0]]) if hits.size else -1)
+    gain = joint_cost - half_cost[starts] - half_cost[starts + w]
+    return _kernels.first_crossings(np.pad(gain, (2 * w - 1, 0)), thresholds, first_t)
 
 
-_RUNNERS = {
-    "gsr": run_gsr,
-    "cusum": run_cusum,
-    "ewma": run_ewma,
-    "window-l1": run_window,
-    "window-normal": run_window,
+_FRAMES = {
+    "gsr": _gsr_frames,
+    "cusum": _cusum_frames,
+    "ewma": _ewma_frames,
+    "window-l1": _window_frames,
+    "window-normal": _window_frames,
 }
 
 
+def alarm_frames(values, config: DetectorConfig, thresholds):
+    """First alarm frame of the configured detector at each threshold, -1
+    where it does not alarm: an int for a scalar threshold, an int array of
+    the thresholds' shape for an array (``config.threshold`` is not used).
+
+    The statistic is computed once for all thresholds, and each alarm equals
+    that of a run at its threshold alone, ties included.
+    """
+    return _FRAMES[config.kind](values, config, thresholds)
+
+
 def run_detector(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:
-    return _RUNNERS[config.kind](values, config, seq_id)
+    """First alarm at ``config.threshold`` (tau = inf for no alarm)."""
+    t = alarm_frames(values, config, config.threshold)
+    return DetectionOutcome(id=seq_id, tau=INF if t < 0 else float(t))
+
+
+# The per-detector entry points are the same one-threshold run; each
+# dispatches on ``config.kind``.
+run_gsr = run_cusum = run_ewma = run_window = run_detector

@@ -4,6 +4,11 @@ Ingests labeled datasets, sweeps detector thresholds, computes the five
 metrics with SEMs per threshold, and renders the results as CSV and as a
 hand-rolled SVG tradeoff plot.
 
+A sweep scans each sequence once: ``detectors.alarm_frames`` gives its first
+alarm at every threshold of the grid, collected into one (sequences x
+thresholds) table of frame indices. Each threshold's outcomes are built from
+its column only while its metrics run.
+
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV regardless of the worker count; detector runs fan out per
 sequence but results are reduced in dataset order.
@@ -16,13 +21,14 @@ import io
 import json
 import logging
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectorConfig, run_detector
+from .detectors import DetectorConfig, alarm_frames
+# Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
+from .detectors import run_detector  # noqa: F401
 from .metrics import INF, DetectionOutcome, SequenceMeta, compute_metric
 from .simulate import LabeledDataset
 
@@ -51,7 +57,6 @@ class IngestReport:
 class CurvePoint:
     threshold: float
     estimates: dict  # metric name -> MetricEstimate
-    wall_time_ms: int
 
 
 @dataclass(frozen=True)
@@ -68,20 +73,26 @@ def _parse_record(obj: dict, line_no: int):
     try:
         seq_id = str(obj["id"])
         values = np.asarray(obj["values"], dtype=np.float64)
-        nu = obj["nu"]
+        nu = None if obj["nu"] is None else float(obj["nu"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed record at line {line_no}: {exc}") from None
     if values.ndim not in (1, 2) or values.shape[0] == 0:
         raise ValueError(f"malformed record at line {line_no}: bad values shape")
-    _check_finite(values, line_no)
-    return seq_id, values, INF if nu is None else float(nu)
+    return _checked(seq_id, values, nu, line_no)
 
 
-def _check_finite(values: np.ndarray, line_no: int) -> None:
-    # A NaN or infinite frame would never alarm some detectors and be
-    # counted as a censored run instead of failing.
+def _checked(seq_id: str, values: np.ndarray, nu, line_no: int):
+    """Reject non-finite frames and changepoints; nu None (no change) becomes
+    inf. A NaN or infinite frame would never alarm some detectors, and an
+    infinite changepoint would read as "no change": both would be counted as
+    censored runs instead of failing."""
     if not np.isfinite(values).all():
         raise ValueError(f"malformed record at line {line_no}: non-finite value")
+    if nu is None:
+        return seq_id, values, INF
+    if not math.isfinite(nu):
+        raise ValueError(f"malformed record at line {line_no}: non-finite changepoint")
+    return seq_id, values, nu
 
 
 def _iter_jsonl(path):
@@ -106,12 +117,11 @@ def _iter_csv(path):
             if len(row) < 3:
                 raise ValueError(f"malformed record at line {line_no}: too few fields")
             try:
-                nu = INF if row[1] == "" else float(row[1])
+                nu = None if row[1] == "" else float(row[1])
                 values = np.array([float(v) for v in row[2:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"malformed record at line {line_no}: {exc}") from None
-            _check_finite(values, line_no)
-            yield row[0], values, nu
+            yield _checked(row[0], values, nu, line_no)
 
 
 def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
@@ -121,7 +131,7 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     changepoint does not index an observed frame (nu >= T) are rejected.
     Both are counted in the report attached as ``dataset.ingest_report``.
     Structurally malformed records, and records holding a NaN or infinite
-    frame, raise with their line number.
+    frame or changepoint, raise with their line number.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
@@ -158,30 +168,40 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     return dataset
 
 
-def _safe_run(values, config: DetectorConfig, seq_id: str) -> DetectionOutcome:
+def _safe_frames(values, config: DetectorConfig, thresholds, seq_id: str):
     try:
-        return run_detector(values, config, seq_id)
+        return alarm_frames(values, config, thresholds)
     except Exception as exc:  # degrade to "no alarm"; crash == no detection
         log.warning("detector failed on %s: %s", seq_id, exc)
-        return DetectionOutcome(id=seq_id, tau=INF)
+        return np.full(np.shape(thresholds), -1)
+
+
+def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds, workers):
+    """First alarm frame of every sequence (rows, in dataset order) at every
+    threshold (the remaining axes), -1 for no alarm; ``workers`` > 1 fans the
+    sequences out over a thread pool."""
+    n = len(dataset)
+    ids = [m.id for m in dataset.metas]
+    jobs = (dataset.values, [config] * n, [thresholds] * n, ids)
+    if workers <= 1 or n <= 1:
+        rows = list(map(_safe_frames, *jobs))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_safe_frames, *jobs))
+    return np.array(rows, dtype=np.int64).reshape(n, *np.shape(thresholds))
+
+
+def _outcomes(dataset: LabeledDataset, frames) -> list[DetectionOutcome]:
+    return [
+        DetectionOutcome(id=m.id, tau=INF if t < 0 else float(t))
+        for m, t in zip(dataset.metas, frames)
+    ]
 
 
 def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
-    """Run the detector on every sequence, in dataset order; ``workers`` > 1
-    fans the sequences out over a thread pool."""
-    if workers <= 1 or len(dataset) <= 1:
-        return [
-            _safe_run(v, config, m.id) for m, v in zip(dataset.metas, dataset.values)
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                _safe_run,
-                dataset.values,
-                [config] * len(dataset),
-                [m.id for m in dataset.metas],
-            )
-        )
+    """Run the detector at ``config.threshold`` on every sequence, in dataset
+    order; ``workers`` > 1 fans the sequences out over a thread pool."""
+    return _outcomes(dataset, _alarm_table(dataset, config, config.threshold, workers))
 
 
 def observation_bounds(dataset: LabeledDataset) -> tuple[float, float]:
@@ -204,7 +224,8 @@ def sweep(
     metrics,
     workers: int = 1,
 ) -> SweepResult:
-    """Evaluate the requested metrics at every threshold of the grid."""
+    """Evaluate the requested metrics at every threshold of the grid, from one
+    detector pass per sequence (``config.threshold`` is not used)."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
@@ -214,17 +235,14 @@ def sweep(
     if not metrics:
         raise ValueError("no metrics requested")
 
+    frames = _alarm_table(dataset, config, np.array(thresholds), workers)
     points = []
-    for thr in thresholds:
-        start = time.perf_counter()
-        outcomes = run_all(dataset, config.with_threshold(thr), workers)
+    for thr, column in zip(thresholds, frames.T):
+        outcomes = _outcomes(dataset, column)
         estimates = {
             name: compute_metric(name, dataset.metas, outcomes) for name in metrics
         }
-        wall_ms = int((time.perf_counter() - start) * 1000)
-        points.append(
-            CurvePoint(threshold=thr, estimates=estimates, wall_time_ms=wall_ms)
-        )
+        points.append(CurvePoint(threshold=thr, estimates=estimates))
     t_max, delta_t_max = observation_bounds(dataset)
     return SweepResult(
         dataset_hash=dataset.content_hash(),

@@ -307,3 +307,51 @@ class TestSubcommands:
         main(["simulate", "--spec", str(spec_file), "--out", str(a), "--seed", "3"])
         main(["simulate", "--spec", str(spec_file), "--out", str(b), "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestChangepointAndSpecValidation:
+    def _evaluate_ewma(self, tmp_path, data):
+        return main(
+            [
+                "evaluate",
+                "--data", str(data),
+                "--detector", "ewma",
+                "--burn-in", "2",
+                "--threshold", "3",
+                "--out", str(tmp_path / "o.json"),
+            ]
+        )
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_jsonl_changepoint_exit_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+            f'{{"id": "b", "values": [0.0, 1.0, 0.0], "nu": {bad}}}\n'
+        )
+        assert self._evaluate_ewma(tmp_path, data) == 2
+        assert "line 2: non-finite changepoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_changepoint_exit_2(self, tmp_path, capsys, bad):
+        data = tmp_path / "d.csv"
+        data.write_text(f"a,,0.0,1.0,0.0\nb,{bad},0.0,1.0,0.0\n")
+        assert self._evaluate_ewma(tmp_path, data) == 2
+        assert "line 2: non-finite changepoint" in capsys.readouterr().err
+
+    def test_null_and_empty_changepoint_mean_no_change(self, tmp_path):
+        jsonl, csv_path = tmp_path / "d.jsonl", tmp_path / "d.csv"
+        jsonl.write_text('{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n')
+        csv_path.write_text("a,,0.0,1.0,0.0\n")
+        for data in (jsonl, csv_path):
+            assert self._evaluate_ewma(tmp_path, data) == 0
+            out = json.loads((tmp_path / "o.json").read_text())
+            assert out["km-add"]["n_used"] == 0  # no with-change sequence
+
+    def test_simulate_zero_sequences_exit_2(self, tmp_path, spec_file, capsys):
+        spec = json.loads(spec_file.read_text())
+        spec["n_sequences"] = 0
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "o.jsonl"
+        assert main(["simulate", "--spec", str(spec_file), "--out", str(out)]) == 2
+        assert "n_sequences" in capsys.readouterr().err
