@@ -140,6 +140,23 @@ def _manifest_path(args, out):
     return args.manifest or f"{out}.manifest.json"
 
 
+def _run_manifest(args, out, config: DetectorConfig, dataset=None, **keys):
+    """Write the manifest of a detector command: its own ``keys``, the full
+    detector config and, where a dataset was loaded, its hash and ingest
+    counts."""
+    body = {"detector": config.kind, **keys,
+            "detector_config": dataclasses.asdict(config)}
+    dataset_hash = None
+    if dataset is not None:
+        report = dataset.ingest_report
+        body["ingest"] = {"n_loaded": report.n_loaded,
+                          "n_dropped_short": report.n_dropped_short,
+                          "n_rejected": report.n_rejected}
+        dataset_hash = dataset.content_hash()
+    write_manifest(_manifest_path(args, out), command=args.command, config=body,
+                   seed=args.seed, dataset_hash=dataset_hash)
+
+
 def cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         spec = SimSpec.from_json(json.load(fh))
@@ -164,14 +181,8 @@ def cmd_evaluate(args) -> int:
     unknown = set(metrics) - set(METRIC_NAMES)
     if not metrics or unknown:
         raise CliError(f"bad metric list {args.metrics!r}")
-    write_manifest(
-        _manifest_path(args, args.out),
-        command="evaluate",
-        config={"detector": vars(args).get("detector"), "threshold": args.threshold,
-                "metrics": metrics},
-        seed=args.seed,
-        dataset_hash=dataset.content_hash(),
-    )
+    _run_manifest(args, args.out, config, dataset,
+                  threshold=args.threshold, metrics=metrics)
     outcomes = run_all(dataset, config, args.workers)
     results = {
         name: compute_metric(name, dataset.metas, outcomes).to_json()
@@ -191,13 +202,7 @@ def cmd_curve(args) -> int:
     metrics = [m for m in args.metrics.split(",") if m]
     if not metrics or set(metrics) - set(METRIC_NAMES):
         raise CliError(f"bad metric list {args.metrics!r}")
-    write_manifest(
-        _manifest_path(args, args.out),
-        command="curve",
-        config={"detector": args.detector, "thresholds": grid, "metrics": metrics},
-        seed=args.seed,
-        dataset_hash=dataset.content_hash(),
-    )
+    _run_manifest(args, args.out, config, dataset, thresholds=grid, metrics=metrics)
     result = sweep(dataset, config, grid, metrics, workers=args.workers)
     emit_curve(result, args.out, fmt="csv")
     if args.svg:
@@ -209,14 +214,8 @@ def cmd_curve(args) -> int:
 def cmd_survival(args) -> int:
     dataset = _load(args)
     config = _detector_config(args)
-    write_manifest(
-        _manifest_path(args, args.out),
-        command="survival",
-        config={"detector": args.detector, "threshold": args.threshold,
-                "kind": args.kind},
-        seed=args.seed,
-        dataset_hash=dataset.content_hash(),
-    )
+    _run_manifest(args, args.out, config, dataset,
+                  threshold=args.threshold, kind=args.kind)
     outcomes = run_all(dataset, config, args.workers)
     builder = arl_samples if args.kind == "arl" else add_samples
     samples = builder(dataset.metas, outcomes)
@@ -233,13 +232,8 @@ def cmd_oracle(args) -> int:
     model = parse_model(args.model)
     config = _detector_config(args)
     if args.out:
-        write_manifest(
-            _manifest_path(args, args.out),
-            command="oracle",
-            config={"model": args.model, "detector": args.detector,
-                    "threshold": args.threshold, "reps": args.reps},
-            seed=args.seed,
-        )
+        _run_manifest(args, args.out, config, model=args.model,
+                      threshold=args.threshold, reps=args.reps)
     try:
         est = true_arl_mc(
             model, config, n_reps=args.reps, horizon_cap=args.horizon_cap,

@@ -192,8 +192,18 @@ def _l1_cost(windows: np.ndarray) -> np.ndarray:
 
 def _normal_cost(windows: np.ndarray) -> np.ndarray:
     width = windows.shape[1]
-    var = windows.var(axis=1)  # per feature
-    return 0.5 * width * np.log(var + 1e-12).sum(axis=1)
+    # Frames near the float64 limit overflow the variance to inf (and the
+    # gain to inf - inf); there, log var = log var(x / s) + 2 log s with
+    # s = max |x| keeps the cost of finite frames finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = windows.var(axis=1)  # per feature
+    log_var = np.log(var + 1e-12)
+    big = ~np.isfinite(var)
+    if big.any():
+        x = np.moveaxis(windows, 2, 1)[big]
+        s = np.abs(x).max(axis=1)
+        log_var[big] = np.log((x / s[:, None]).var(axis=1)) + 2.0 * np.log(s)
+    return 0.5 * width * log_var.sum(axis=1)
 
 
 def _window_frames(values, config: DetectorConfig, thresholds):

@@ -6,8 +6,11 @@ hand-rolled SVG tradeoff plot.
 
 A sweep scans each sequence once: ``detectors.alarm_frames`` gives its first
 alarm at every threshold of the grid, collected into one (sequences x
-thresholds) table of frame indices. Each threshold's outcomes are built from
-its column only while its metrics run.
+thresholds) table of frame indices. The labels become two float columns,
+lengths and changepoints, once per sweep; each threshold's column of the
+table becomes the alarm column tau (inf for no alarm), and
+``metrics.estimate`` computes every metric from the three columns. Sequences
+are never matched by id in a sweep: ``ingest`` rejects a repeated id.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV regardless of the worker count; detector runs fan out per
@@ -29,7 +32,9 @@ import numpy as np
 from .detectors import DetectorConfig, alarm_frames
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
-from .metrics import INF, DetectionOutcome, SequenceMeta, compute_metric
+from .metrics import INF, DetectionOutcome, SequenceMeta, estimate
+# Unused here, kept because qcdbench's traced runs wrap harness.compute_metric.
+from .metrics import compute_metric  # noqa: F401
 from .simulate import LabeledDataset
 
 __all__ = [
@@ -89,10 +94,10 @@ def _checked(seq_id: str, values: np.ndarray, nu, line_no: int):
     if not np.isfinite(values).all():
         raise ValueError(f"malformed record at line {line_no}: non-finite value")
     if nu is None:
-        return seq_id, values, INF
+        return line_no, seq_id, values, INF
     if not math.isfinite(nu):
         raise ValueError(f"malformed record at line {line_no}: non-finite changepoint")
-    return seq_id, values, nu
+    return line_no, seq_id, values, nu
 
 
 def _iter_jsonl(path):
@@ -130,8 +135,8 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     Sequences shorter than ``min_length`` are dropped; records whose
     changepoint does not index an observed frame (nu >= T) are rejected.
     Both are counted in the report attached as ``dataset.ingest_report``.
-    Structurally malformed records, and records holding a NaN or infinite
-    frame or changepoint, raise with their line number.
+    Structurally malformed records, records holding a NaN or infinite frame
+    or changepoint, and a repeated id raise with their line number.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
@@ -141,7 +146,13 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     metas, values = [], []
     dropped = rejected = 0
     diagnostics = []
-    for seq_id, vals, nu in records:
+    seen = set()
+    for line_no, seq_id, vals, nu in records:
+        if seq_id in seen:
+            raise ValueError(
+                f"malformed record at line {line_no}: duplicate id {seq_id!r}"
+            )
+        seen.add(seq_id)
         length = vals.shape[0]
         if length < min_length:
             dropped += 1
@@ -191,30 +202,31 @@ def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds, wo
     return np.array(rows, dtype=np.int64).reshape(n, *np.shape(thresholds))
 
 
-def _outcomes(dataset: LabeledDataset, frames) -> list[DetectionOutcome]:
+def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
+    """Run the detector at ``config.threshold`` on every sequence, in dataset
+    order; ``workers`` > 1 fans the sequences out over a thread pool."""
+    frames = _alarm_table(dataset, config, config.threshold, workers)
     return [
         DetectionOutcome(id=m.id, tau=INF if t < 0 else float(t))
         for m, t in zip(dataset.metas, frames)
     ]
 
 
-def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
-    """Run the detector at ``config.threshold`` on every sequence, in dataset
-    order; ``workers`` > 1 fans the sequences out over a thread pool."""
-    return _outcomes(dataset, _alarm_table(dataset, config, config.threshold, workers))
+def _label_columns(dataset: LabeledDataset):
+    """Float (lengths, nu) columns in dataset order, nu inf for no change."""
+    lengths = np.array([m.length_T for m in dataset.metas], dtype=np.float64)
+    nu = np.array([m.changepoint_nu for m in dataset.metas], dtype=np.float64)
+    return lengths, nu
 
 
 def observation_bounds(dataset: LabeledDataset) -> tuple[float, float]:
     """Largest possible run-length and delay observations: max of min(nu, T)
-    and max of T - nu over with-change sequences. These bound the horizons of
-    the censoring-aware estimators; beyond them the curves extrapolate."""
-    t_max = 0.0
-    delta_t_max = 0.0
-    for m in dataset.metas:
-        t_max = max(t_max, min(m.changepoint_nu, m.length_T))
-        if m.changepoint_nu != INF:
-            delta_t_max = max(delta_t_max, m.length_T - m.changepoint_nu)
-    return t_max, delta_t_max
+    and max of T - nu over with-change sequences (T - inf never wins). These
+    bound the horizons of the censoring-aware estimators; beyond them the
+    curves extrapolate."""
+    lengths, nu = _label_columns(dataset)
+    t_max = np.max(np.minimum(nu, lengths), initial=0.0)
+    return float(t_max), float(np.max(lengths - nu, initial=0.0))
 
 
 def sweep(
@@ -236,12 +248,11 @@ def sweep(
         raise ValueError("no metrics requested")
 
     frames = _alarm_table(dataset, config, np.array(thresholds), workers)
+    lengths, nu = _label_columns(dataset)
     points = []
     for thr, column in zip(thresholds, frames.T):
-        outcomes = _outcomes(dataset, column)
-        estimates = {
-            name: compute_metric(name, dataset.metas, outcomes) for name in metrics
-        }
+        tau = np.where(column < 0, INF, column)
+        estimates = {name: estimate(name, lengths, nu, tau) for name in metrics}
         points.append(CurvePoint(threshold=thr, estimates=estimates))
     t_max, delta_t_max = observation_bounds(dataset)
     return SweepResult(

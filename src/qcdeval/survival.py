@@ -23,6 +23,7 @@ __all__ = [
     "StepSurvivalCurve",
     "RestrictedMean",
     "fit_km",
+    "fit_km_arrays",
     "rmst",
     "max_last_observed",
     "rmst_km_batch",
@@ -129,28 +130,36 @@ def _steps(drops: np.ndarray, surv: np.ndarray, upper_limit: float):
     return lefts, rights, s_vals
 
 
-def fit_km(samples: list[SurvivalSample]) -> StepSurvivalCurve:
-    """Fit the product-limit curve to right-censored samples.
+def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> StepSurvivalCurve:
+    """Fit the product-limit curve to right-censored samples given as
+    equal-length time and event arrays.
 
     Drop times are the distinct event times; at drop time t_j the risk set
     counts every sample with time >= t_j (ties keep censored samples at risk,
     events first) and deaths count the events exactly at t_j.
     """
-    if not samples:
+    times = np.asarray(times, dtype=np.float64)
+    if times.size == 0:
         raise ValueError("no samples")
-    times = np.array([s.time for s in samples], dtype=np.float64)
-    events = np.array([s.event for s in samples], dtype=bool)
+    bad = ~(np.isfinite(times) & (times >= 0))
+    if bad.any():
+        raise ValueError(f"invalid sample: time={float(times[bad][0])!r}")
     t, drop, at_risk, deaths, surv = (
-        a[0] for a in _product_limit(times[None], events[None])
+        a[0] for a in _product_limit(times[None], np.asarray(events, dtype=bool)[None])
     )
     return StepSurvivalCurve(
         drop_times=t[drop],
         survival_values=surv[drop],
         at_risk=at_risk[drop],
         deaths=deaths[drop],
-        n_samples=len(samples),
+        n_samples=times.size,
         max_observed=float(t[-1]),
     )
+
+
+def fit_km(samples: list[SurvivalSample]) -> StepSurvivalCurve:
+    """``fit_km_arrays`` over a list of samples."""
+    return fit_km_arrays([s.time for s in samples], [s.event for s in samples])
 
 
 def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:

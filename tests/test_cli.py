@@ -355,3 +355,73 @@ class TestChangepointAndSpecValidation:
         out = tmp_path / "o.jsonl"
         assert main(["simulate", "--spec", str(spec_file), "--out", str(out)]) == 2
         assert "n_sequences" in capsys.readouterr().err
+
+
+class TestDuplicateIdsAndManifest:
+    ARGS = {"evaluate": ["--threshold", "4"], "curve": ["--thresholds", "1,10"]}
+
+    def _run(self, tmp_path, command, data, out="o.out"):
+        return main(
+            [
+                command,
+                "--data", str(data),
+                "--detector", "gsr",
+                "--model", "gaussian:0,0.1,0.1",
+                *self.ARGS[command],
+                "--out", str(tmp_path / out),
+            ]
+        )
+
+    @pytest.mark.parametrize("command", ["evaluate", "curve"])
+    def test_duplicate_jsonl_id_exit_2(self, tmp_path, capsys, command):
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+            '{"id": "b", "values": [0.0, 1.0, 0.0], "nu": 1}\n'
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+        )
+        assert self._run(tmp_path, command, data) == 2
+        err = capsys.readouterr().err
+        assert "malformed record at line 3: duplicate id 'a'" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "curve"])
+    def test_duplicate_csv_id_exit_2(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("a,,0.0,1.0,0.0\nb,1,0.0,1.0,0.0\na,,0.0,1.0,0.0\n")
+        assert self._run(tmp_path, command, data) == 2
+        err = capsys.readouterr().err
+        assert "malformed record at line 3: duplicate id 'a'" in err
+
+    def test_evaluate_manifest_records_config_and_ingest(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+            '{"id": "b", "values": [0.0], "nu": null}\n'
+            '{"id": "c", "values": [0.0, 1.0, 0.0], "nu": 5}\n'
+        )
+        assert self._run(tmp_path, "evaluate", data, out="o.json") == 0
+        manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+        config = manifest["config"]
+        assert config["detector_config"] == {
+            "kind": "gsr",
+            "threshold": 4.0,
+            "model": {
+                "kind": "gaussian",
+                "mu0": 0.0,
+                "mu1": 0.1,
+                "var": 0.1,
+                "lam0": 1.0,
+                "lam1": 1.0,
+            },
+            "omega": 0.0,
+            "ewma_lambda": 0.2,
+            "window_size": 30,
+            "burn_in": 30,
+        }
+        assert config["ingest"] == {
+            "n_loaded": 1,
+            "n_dropped_short": 1,
+            "n_rejected": 1,
+        }
+        assert config["detector"] == "gsr" and config["threshold"] == 4.0
+        assert manifest["command"] == "evaluate"

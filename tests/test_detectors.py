@@ -253,3 +253,29 @@ class TestConfigValidation:
             DetectorConfig(kind="ewma", threshold=3.0, burn_in=0)
         cfg = DetectorConfig(kind="window-l1", threshold=3.0, burn_in=0)
         assert cfg.burn_in == 0
+
+
+def test_window_normal_cost_stays_finite_on_large_frames():
+    # One 1e200 frame overflows the plain window variance to inf, and the
+    # gain to inf - inf; the jump must alarm, not read as no alarm.
+    from qcdeval.detectors import alarm_frames
+
+    x = np.random.default_rng(0).standard_normal(200)
+    x[100] = 1e200
+    cfg = DetectorConfig(
+        kind="window-normal", threshold=1.0, window_size=10, burn_in=10
+    )
+    frames = alarm_frames(x, cfg, np.array([5.0, 50.0, 1e3, 1e300]))
+    assert frames.tolist() == [47, 100, 100, -1]
+
+
+def test_window_normal_cost_unchanged_for_finite_variance():
+    from qcdeval.detectors import _normal_cost
+
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        width, features = rng.integers(1, 40), rng.integers(1, 4)
+        scale = 10.0 ** rng.uniform(-5, 100)
+        windows = rng.standard_normal((3, width, features)) * scale
+        plain = 0.5 * width * np.log(windows.var(axis=1) + 1e-12).sum(axis=1)
+        assert np.array_equal(_normal_cost(windows), plain)
