@@ -105,7 +105,7 @@ def _detector_config(args) -> DetectorConfig:
         model = parse_model(args.model)
     return DetectorConfig(
         kind=args.detector,
-        threshold=getattr(args, "threshold", 1.0),
+        threshold=getattr(args, "threshold", None),  # curve sweeps a grid instead
         model=model,
         omega=args.omega,
         ewma_lambda=args.ewma_lambda,
@@ -132,7 +132,7 @@ def _add_common(p):
     # None means "not given": simulate then defers to the seed in the spec
     # file; every other subcommand falls back to 0.
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--manifest", default=None, help="manifest path (default <out>.manifest.json)")
 
 

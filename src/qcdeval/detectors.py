@@ -95,7 +95,7 @@ def llr_step(model: LikelihoodModel, x: float) -> float:
 @dataclass(frozen=True)
 class DetectorConfig:
     kind: str
-    threshold: float
+    threshold: float | None  # None where a sweep passes a grid instead
     model: LikelihoodModel | None = None
     omega: float = 0.0  # GSR head start
     ewma_lambda: float = 0.2

@@ -13,8 +13,10 @@ table becomes the alarm column tau (inf for no alarm), and
 are never matched by id in a sweep: ``ingest`` rejects a repeated id.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
-byte-identical CSV regardless of the worker count; detector runs fan out per
-sequence but results are reduced in dataset order.
+byte-identical CSV. Sequences are scanned one after the other in dataset
+order; ``workers`` is accepted and has no effect. A detector that rejects a
+sequence (``ValueError``) fails the whole run, naming the sequence id: a
+crash is never counted as a censored run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import io
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,6 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    dataset_hash: str
     config: DetectorConfig
     thresholds: tuple
     points: list[CurvePoint]
@@ -81,7 +81,7 @@ def _parse_record(obj: dict, line_no: int):
         nu = None if obj["nu"] is None else float(obj["nu"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed record at line {line_no}: {exc}") from None
-    if values.ndim not in (1, 2) or values.shape[0] == 0:
+    if values.ndim not in (1, 2) or values.size == 0:
         raise ValueError(f"malformed record at line {line_no}: bad values shape")
     return _checked(seq_id, values, nu, line_no)
 
@@ -157,13 +157,12 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
         if length < min_length:
             dropped += 1
             continue
-        if nu != INF and (nu < 0 or nu != int(nu) or nu >= length):
+        try:
+            metas.append(SequenceMeta(id=seq_id, length_T=length, changepoint_nu=nu))
+        except ValueError as exc:
             rejected += 1
-            diagnostics.append(
-                f"{seq_id}: changepoint {nu} does not index a frame of length {length}"
-            )
+            diagnostics.append(str(exc))
             continue
-        metas.append(SequenceMeta(id=seq_id, length_T=length, changepoint_nu=nu))
         values.append(vals)
     dataset = LabeledDataset(metas=metas, values=values)
     dataset.ingest_report = IngestReport(
@@ -179,33 +178,22 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     return dataset
 
 
-def _safe_frames(values, config: DetectorConfig, thresholds, seq_id: str):
-    try:
-        return alarm_frames(values, config, thresholds)
-    except Exception as exc:  # degrade to "no alarm"; crash == no detection
-        log.warning("detector failed on %s: %s", seq_id, exc)
-        return np.full(np.shape(thresholds), -1)
-
-
-def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds, workers):
+def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds):
     """First alarm frame of every sequence (rows, in dataset order) at every
-    threshold (the remaining axes), -1 for no alarm; ``workers`` > 1 fans the
-    sequences out over a thread pool."""
-    n = len(dataset)
-    ids = [m.id for m in dataset.metas]
-    jobs = (dataset.values, [config] * n, [thresholds] * n, ids)
-    if workers <= 1 or n <= 1:
-        rows = list(map(_safe_frames, *jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_safe_frames, *jobs))
-    return np.array(rows, dtype=np.int64).reshape(n, *np.shape(thresholds))
+    threshold (the remaining axes), -1 for no alarm."""
+    rows = []
+    for meta, values in zip(dataset.metas, dataset.values):
+        try:
+            rows.append(alarm_frames(values, config, thresholds))
+        except ValueError as exc:
+            raise ValueError(f"sequence {meta.id!r}: {exc}") from exc
+    return np.array(rows, dtype=np.int64).reshape(len(rows), *np.shape(thresholds))
 
 
 def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
     """Run the detector at ``config.threshold`` on every sequence, in dataset
-    order; ``workers`` > 1 fans the sequences out over a thread pool."""
-    frames = _alarm_table(dataset, config, config.threshold, workers)
+    order (``workers`` has no effect)."""
+    frames = _alarm_table(dataset, config, config.threshold)
     return [
         DetectionOutcome(id=m.id, tau=INF if t < 0 else float(t))
         for m, t in zip(dataset.metas, frames)
@@ -237,7 +225,8 @@ def sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Evaluate the requested metrics at every threshold of the grid, from one
-    detector pass per sequence (``config.threshold`` is not used)."""
+    detector pass per sequence (``config.threshold`` and ``workers`` are not
+    used)."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
@@ -247,7 +236,7 @@ def sweep(
     if not metrics:
         raise ValueError("no metrics requested")
 
-    frames = _alarm_table(dataset, config, np.array(thresholds), workers)
+    frames = _alarm_table(dataset, config, np.array(thresholds))
     lengths, nu = _label_columns(dataset)
     points = []
     for thr, column in zip(thresholds, frames.T):
@@ -256,7 +245,6 @@ def sweep(
         points.append(CurvePoint(threshold=thr, estimates=estimates))
     t_max, delta_t_max = observation_bounds(dataset)
     return SweepResult(
-        dataset_hash=dataset.content_hash(),
         config=config,
         thresholds=thresholds,
         points=points,

@@ -60,8 +60,11 @@ class SequenceMeta:
         if self.length_T < 1:
             raise ValueError(f"length_T must be >= 1, got {self.length_T}")
         nu = self.changepoint_nu
-        if nu != INF and (nu < 0 or nu != int(nu)):
-            raise ValueError(f"invalid changepoint: {nu!r}")
+        if nu != INF and (nu < 0 or nu != int(nu) or nu >= self.length_T):
+            raise ValueError(
+                f"{self.id}: changepoint {nu!r} does not index a frame of "
+                f"length {self.length_T}"
+            )
 
 
 @dataclass(frozen=True)

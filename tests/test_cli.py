@@ -160,6 +160,9 @@ class TestSubcommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 5 * 5
         assert svg.read_text().startswith("<svg")
+        # A sweep reads its grid, never config.threshold.
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["config"]["detector_config"]["threshold"] is None
 
     def test_curve_empty_grid_exit_2(self, tmp_path, data_file):
         code = main(
@@ -391,6 +394,19 @@ class TestDuplicateIdsAndManifest:
         assert self._run(tmp_path, command, data) == 2
         err = capsys.readouterr().err
         assert "malformed record at line 3: duplicate id 'a'" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "curve"])
+    def test_detector_rejecting_sequence_exit_2(self, tmp_path, capsys, command):
+        # Bivariate frames under gsr fail the run naming the sequence; they
+        # must never be counted as censored runs.
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+            '{"id": "biv", "values": [[0.1, 0.2], [0.1, 0.2]], "nu": null}\n'
+        )
+        assert self._run(tmp_path, command, data) == 2
+        err = capsys.readouterr().err
+        assert "sequence 'biv': gsr supports univariate sequences only" in err
 
     def test_evaluate_manifest_records_config_and_ingest(self, tmp_path):
         data = tmp_path / "d.jsonl"

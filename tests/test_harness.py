@@ -72,6 +72,20 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 1"):
             ingest(path)
 
+    @pytest.mark.parametrize("values", [[[], []], [[]], []])
+    def test_zero_feature_frames_line_number(self, tmp_path, values):
+        # Frames without features would never alarm a window or cusum scan
+        # and be counted as censored runs.
+        path = write_jsonl(
+            tmp_path,
+            [
+                {"id": "a", "values": [1.0, 2.0], "nu": None},
+                {"id": "b", "values": values, "nu": None},
+            ],
+        )
+        with pytest.raises(ValueError, match="line 2: bad values shape"):
+            ingest(path)
+
     def test_round_trip_identity(self, tmp_path, dataset):
         path = tmp_path / "rt.jsonl"
         save_jsonl(dataset, path)
@@ -113,7 +127,6 @@ class TestSweep:
         res = sweep(ds, self.cfg(), [30.0], METRIC_NAMES, workers=1)
         assert len(res.points) == 1
         assert set(res.points[0].estimates) == set(METRIC_NAMES)
-        assert res.dataset_hash == ds.content_hash()
 
     def test_validation(self, dataset):
         with pytest.raises(ValueError, match="empty threshold"):
@@ -140,22 +153,38 @@ class TestSweep:
         emit_curve(res8, p8)
         assert p1.read_bytes() == p8.read_bytes()
 
-    def test_detector_failure_degrades_to_censoring(self, dataset, caplog):
-        # Poison one sequence so the likelihood model rejects it; the sweep
-        # must continue with tau = inf for that sequence.
+    def test_detector_failure_names_sequence(self):
+        # A sequence the likelihood model rejects fails the sweep with its
+        # id; it must never be counted as a censored run.
         model = LikelihoodModel(kind="poisson", lam0=1.0, lam1=4.0)
+        counts = simulate(
+            SimSpec(
+                model=model,
+                n_sequences=6,
+                length_law=("fixed", 40),
+                changepoint_law=("uniform",),
+                with_change_fraction=0.5,
+                seed=3,
+            )
+        )
         cfg = DetectorConfig(kind="cusum", threshold=1e12, model=model)
-        bad = dataset.values[0]
-        try:
-            dataset.values[0] = np.array([0.5, 1.5, 2.0])  # non-integer counts
-            import logging
+        assert len(sweep(counts, cfg, [1e12], ("km-arl",)).points) == 1
+        counts.values[3] = counts.values[3] + 0.5  # non-integer counts
+        with pytest.raises(ValueError) as err:
+            sweep(counts, cfg, [1e12], ("km-arl",), workers=1)
+        assert str(err.value) == (
+            "sequence 'seq000003': poisson model requires non-negative integer frames"
+        )
 
-            with caplog.at_level(logging.WARNING, logger="qcdeval.harness"):
-                res = sweep(dataset, cfg, [1e12], ("km-arl",), workers=1)
-        finally:
-            dataset.values[0] = bad
-        assert len(res.points) == 1
-        assert any("detector failed" in r.message for r in caplog.records)
+    def test_other_detector_errors_propagate(self, dataset, monkeypatch):
+        import qcdeval.harness
+
+        def boom(values, config, thresholds):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(qcdeval.harness, "alarm_frames", boom)
+        with pytest.raises(ZeroDivisionError, match="^boom$"):
+            sweep(dataset, self.cfg(), [5.0], ("km-arl",))
 
 
 class TestEmitCurve:

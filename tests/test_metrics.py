@@ -171,3 +171,7 @@ class TestInvariants:
             SequenceMeta(id="x", length_T=5, changepoint_nu=-1.0)
         with pytest.raises(ValueError):
             SequenceMeta(id="x", length_T=5, changepoint_nu=2.5)
+        # A changepoint past the end fails on the label, naming the id, not
+        # later on a negative delay sample.
+        with pytest.raises(ValueError, match="^a: changepoint 5.0 does not index"):
+            km_add([SequenceMeta("a", 3, 5.0)], [DetectionOutcome("a", INF)])

@@ -143,8 +143,8 @@ def reference(name, metas, outcomes, upper_limit=None):
 
 
 def result(fn, *args):
-    """The return value of ``fn``, or the message of the ValueError it raises
-    (a changepoint at or past the end gives a negative delay sample)."""
+    """The return value of ``fn``, or the message of the ValueError it raises,
+    so that an estimator and its reference must also fail alike."""
     try:
         return fn(*args)
     except ValueError as exc:
@@ -154,7 +154,7 @@ def result(fn, *args):
 @st.composite
 def labeled_runs(draw):
     """Metas and outcomes with the edge cases drawn often: tau == nu,
-    tau == T - 1, nu == 0, nu at or past T, all taus inf, no sequences."""
+    tau == T - 1, nu == 0, nu == T - 1, all taus inf, no sequences."""
     n = draw(st.integers(min_value=0, max_value=12))
     all_inf = draw(st.booleans())
     metas, outcomes = [], []
@@ -164,10 +164,11 @@ def labeled_runs(draw):
             st.one_of(
                 st.just(INF),
                 st.just(0.0),
-                st.integers(min_value=0, max_value=T + 1).map(float),
+                st.just(float(T - 1)),
+                st.integers(min_value=0, max_value=T - 1).map(float),
             )
         )
-        taus = [INF, 0.0, float(T - 1)] + ([nu] if nu < T else [])
+        taus = [INF, 0.0, float(T - 1), nu]
         tau = draw(
             st.one_of(
                 st.sampled_from(taus),
