@@ -133,15 +133,6 @@ def _as_matrix(values) -> np.ndarray:
     raise ValueError("sequence values must be 1-D or 2-D")
 
 
-def _scalar_series(values) -> np.ndarray:
-    """Univariate series for the likelihood detectors; multivariate input is
-    reduced to the norm of the feature vector."""
-    arr = _as_matrix(values)
-    if arr.shape[1] == 1:
-        return np.ascontiguousarray(arr[:, 0])
-    return np.linalg.norm(arr, axis=1)
-
-
 def _gsr_frames(values, config: DetectorConfig, thresholds):
     """Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t), R(-1) = omega,
     computed in log space; alarm at R >= threshold."""
@@ -160,8 +151,10 @@ def _gsr_frames(values, config: DetectorConfig, thresholds):
 
 def _cusum_frames(values, config: DetectorConfig, thresholds):
     """Page recursion W(t) = max(0, W(t-1) + llr_t); alarm at W >= threshold."""
-    llr = config.model.llr(_scalar_series(values))
-    return _kernels.cusum_first_alarm(llr, thresholds)
+    arr = _as_matrix(values)
+    if arr.shape[1] != 1:
+        raise ValueError("cusum supports univariate sequences only")
+    return _kernels.cusum_first_alarm(config.model.llr(arr[:, 0]), thresholds)
 
 
 def _ewma_frames(values, config: DetectorConfig, thresholds):

@@ -3,8 +3,8 @@
 Three routes live here:
 
 * Monte-Carlo true run length / detection delay on effectively infinite
-  streams (``true_arl_mc`` / ``true_add_mc``), through one chunked
-  first-alarm loop in which each replication has its own changepoint.
+  streams (``true_arl_mc`` / ``true_add_mc``), through one per-frame loop
+  over the replications that have not alarmed, each with its own changepoint.
 * Gauss-Legendre quadrature of the finite-sample bias-bound integrals for
   restricted means under random censoring (``bias_bounds``), together with a
   Monte-Carlo bias measurement of the estimator under test
@@ -169,6 +169,8 @@ def bias_bounds(
     """
     if a < 0:
         raise ValueError("a must be >= 0")
+    if mc_reps < 2:  # a mean and its standard error need two replications
+        raise ValueError(f"mc_reps must be >= 2, got {mc_reps}")
     lower, upper = _bound_integrals(event, censor, n, a, quad_points)
     if event.kind != "empirical":
         q = quad_points
@@ -233,10 +235,11 @@ def _detector_state(config: DetectorConfig, n: int):
 
 
 def _frames(model: LikelihoodModel, post: np.ndarray, rng: np.random.Generator):
-    """One chunk of frames: post-change where ``post`` is set, else pre-change.
-    Gaussian frames are built in place, so the chunk is the only large array."""
+    """One frame per replication: post-change where ``post`` is set, else
+    pre-change. Gaussian frames are built in place."""
     if model.kind == "gaussian":
-        x = math.sqrt(model.var) * rng.standard_normal(post.shape)
+        x = rng.standard_normal(post.size)
+        x *= math.sqrt(model.var)
         np.add(x, model.mu1, out=x, where=post)
         np.add(x, model.mu0, out=x, where=~post)
         return x
@@ -249,35 +252,25 @@ def _first_alarms(
     nus: np.ndarray,
     horizon_cap: int,
     rng: np.random.Generator,
-    chunk: int,
 ) -> np.ndarray:
     """First-alarm frame of each replication, -1 when none by horizon_cap.
 
     Replication i runs the detector from frame 0 on pre-change frames before
     its changepoint ``nus[i]`` and post-change frames from it on (inf: a
-    pre-change-only stream). Each chunk of frames is drawn for all active
-    replications at once; the detector then steps through it frame by frame.
+    pre-change-only stream). Frame t is drawn, in replication order, only
+    for the replications that have not alarmed before it: every draw is read.
     """
     tau = np.full(nus.size, -1, dtype=np.int64)
     active = np.arange(nus.size)
     state, step, thr = _detector_state(detector, nus.size)
-    t = 0
-    while active.size and t < horizon_cap:
-        width = min(chunk, horizon_cap - t)
-        post = (t + np.arange(width)) >= nus[active, None]
-        x = _frames(model, post, rng)
-        st = state[active]
-        alive = np.ones(active.size, dtype=bool)
-        for j in range(width):
-            st = step(st, model.llr(x[:, j]))
-            hit = alive & (st >= thr)
-            if hit.any():
-                tau[active[hit]] = t + j
-                alive &= ~hit
-        state[active] = st
-        active = active[alive]
-        t += width
-        del x  # free the chunk before the next is drawn: it sets peak memory
+    for t in range(horizon_cap):
+        state = step(state, model.llr(_frames(model, nus[active] <= t, rng)))
+        hit = state >= thr
+        if hit.any():
+            tau[active[hit]] = t
+            active, state = active[~hit], state[~hit]
+            if not active.size:
+                break
     return tau
 
 
@@ -293,10 +286,13 @@ def true_arl_mc(
 
     Errors out when 0.1% or more of the replications reach horizon_cap
     without an alarm, to keep the oracle itself free of truncation bias.
+    ``chunk`` is accepted and has no effect.
     """
+    if n_reps < 2:
+        raise ValueError(f"n_reps must be >= 2, got {n_reps}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     nus = np.full(n_reps, math.inf)
-    tau = _first_alarms(model, detector, nus, horizon_cap, rng, chunk)
+    tau = _first_alarms(model, detector, nus, horizon_cap, rng)
     n_cap = int(np.sum(tau < 0))
     cap_fraction = n_cap / n_reps
     if cap_fraction >= 1e-3:
@@ -326,8 +322,10 @@ def true_add_mc(
     Each replication runs the detector from frame 0 with pre-change frames
     before its changepoint and post-change after; replications alarming
     before the change (false alarms) are discarded. The cap error applies to
-    the retained replications.
+    the retained replications. ``chunk`` is accepted and has no effect.
     """
+    if n_reps < 2:
+        raise ValueError(f"n_reps must be >= 2, got {n_reps}")
     law = tuple(changepoint_law)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if law[0] == "geometric":
@@ -336,7 +334,7 @@ def true_add_mc(
         nus = np.full(n_reps, float(law[1]))
     else:
         raise ValueError(f"unsupported changepoint law for the oracle: {law[0]}")
-    tau = _first_alarms(model, detector, nus, horizon_cap, rng, chunk)
+    tau = _first_alarms(model, detector, nus, horizon_cap, rng)
 
     alarmed = tau >= 0
     retained = alarmed & (tau >= nus)
@@ -348,8 +346,8 @@ def true_add_mc(
             f"increase horizon_cap: {n_capped} retained replications hit the cap"
         )
     delays = (tau[retained] - nus[retained]).astype(np.float64)
-    if delays.size == 0:
-        raise RuntimeError("no replication survived the false-alarm filter")
+    if delays.size < 2:
+        raise RuntimeError("fewer than two replications survived the false-alarm filter")
     return MCEstimate(
         value=float(delays.mean()),
         sem=float(delays.std(ddof=1) / math.sqrt(delays.size)),

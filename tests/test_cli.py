@@ -234,6 +234,42 @@ class TestSubcommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_oracle_degenerate_reps_exit_2(self, tmp_path, capsys, reps):
+        # No mean, or no standard error, from fewer than two replications:
+        # neither a ZeroDivisionError traceback nor a NaN in the JSON.
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle",
+                "--model", "gaussian:0,0.1,0.1",
+                "--detector", "gsr",
+                "--threshold", "20",
+                "--reps", reps,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"n_reps must be >= 2, got {reps}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_verify_bounds_degenerate_reps_exit_2(self, capsys, reps):
+        code = main(
+            [
+                "verify-bounds",
+                "--family", "exp:1,unif:0,2",
+                "--n", "5",
+                "--a", "1.0",
+                "--reps", reps,
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"mc_reps must be >= 2, got {reps}" in captured.err
+        assert "VIOLATED" not in captured.out
+
     def _evaluate_gsr(self, tmp_path, data, *extra):
         return main(
             [
@@ -407,6 +443,28 @@ class TestDuplicateIdsAndManifest:
         assert self._run(tmp_path, command, data) == 2
         err = capsys.readouterr().err
         assert "sequence 'biv': gsr supports univariate sequences only" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "curve"])
+    def test_cusum_rejects_bivariate_exit_2(self, tmp_path, capsys, command):
+        # cusum used to score the row norm with a univariate model.
+        data = tmp_path / "d.jsonl"
+        data.write_text(
+            '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+            '{"id": "biv", "values": [[0.1, 0.2], [0.1, 0.2]], "nu": null}\n'
+        )
+        code = main(
+            [
+                command,
+                "--data", str(data),
+                "--detector", "cusum",
+                "--model", "gaussian:0,0.1,0.1",
+                *self.ARGS[command],
+                "--out", str(tmp_path / "o.out"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sequence 'biv': cusum supports univariate sequences only" in err
 
     def test_evaluate_manifest_records_config_and_ingest(self, tmp_path):
         data = tmp_path / "d.jsonl"

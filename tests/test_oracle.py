@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qcdeval.detectors import DetectorConfig, LikelihoodModel
+from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames
 from qcdeval.metrics import MetricEstimate
 from qcdeval.oracle import (
     Dist,
+    _first_alarms,
     bias_bounds,
     true_add_mc,
     true_arl_mc,
@@ -204,6 +205,73 @@ class TestTrueADD:
         assert true_add_mc(GAUSS, cfg, ("geometric", 0.01), **kw) == true_add_mc(
             GAUSS, cfg, ("geometric", 0.01), **kw
         )
+
+
+class RecordingGenerator:
+    """A Generator that keeps a copy of every frame draw it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        self.draws = []
+
+    def standard_normal(self, size):
+        z = self.rng.standard_normal(size)
+        self.draws.append(z.copy())
+        return z
+
+    def poisson(self, lam):
+        k = self.rng.poisson(lam)
+        self.draws.append(k.copy())
+        return k
+
+
+class TestFirstAlarmLoop:
+    """Rebuild each replication's stream from the recorded draws and rescan it
+    with the sequence detector."""
+
+    CASES = {
+        # kind, threshold, model, changepoints drawn from [0, nu_max) or None
+        "gsr-gauss-arl": ("gsr", 60.0, GAUSS, None),
+        "cusum-gauss-add": ("cusum", 6.0, GAUSS, 40),
+        "gsr-poisson-add": ("gsr", 300.0, POISSON, 200),
+        "cusum-poisson-arl": ("cusum", 3.0, POISSON, None),
+    }
+
+    @staticmethod
+    def frame(model, draw, post):
+        if model.kind == "gaussian":
+            return draw * math.sqrt(model.var) + np.where(post, model.mu1, model.mu0)
+        return draw.astype(np.float64)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_streams_rebuilt_from_draws_rescan_to_tau(self, case):
+        kind, threshold, model, nu_max = self.CASES[case]
+        cfg = DetectorConfig(kind=kind, threshold=threshold, model=model)
+        n_reps, cap = 200, 150
+        if nu_max is None:
+            nus = np.full(n_reps, math.inf)
+        else:
+            nus = np.random.default_rng(3).integers(0, nu_max, n_reps).astype(float)
+        rng = RecordingGenerator(11)
+        tau = _first_alarms(model, cfg, nus, cap, rng)
+        capped = tau < 0
+        # The case must exercise alarms at several frames and the cap.
+        assert 0 < capped.sum() < n_reps and np.unique(tau).size > 10
+
+        # Every drawn value is read: one per frame up to the alarm, or up to
+        # the cap.
+        assert sum(d.size for d in rng.draws) == int(
+            np.sum(tau[~capped] + 1) + cap * capped.sum()
+        )
+        streams = np.full((n_reps, cap), np.nan)
+        for t, draw in enumerate(rng.draws):
+            rows = np.flatnonzero((tau >= t) | capped)  # ascending rep order
+            assert draw.size == rows.size
+            streams[rows, t] = self.frame(model, draw, nus[rows] <= t)
+        for i in range(n_reps):
+            x = streams[i, : cap if capped[i] else tau[i] + 1]
+            assert not np.isnan(x).any()
+            assert alarm_frames(x, cfg, threshold) == tau[i], i
 
 
 class TestOrderingCheck:
