@@ -3,7 +3,8 @@
 Subcommands: simulate, evaluate, curve, survival, oracle, verify-bounds.
 Exit codes: 0 success, 2 validation/usage error (``CliError``, ``OSError`` or
 ``ValueError``, mapped in ``main``), 3 verification failure.
-Every run writes a manifest JSON before its result files.
+Every run writes a manifest JSON before its result files; ``oracle`` and
+``verify-bounds`` write theirs once the computation has succeeded.
 """
 
 from __future__ import annotations
@@ -231,9 +232,6 @@ def cmd_oracle(args) -> int:
         raise CliError("oracle requires --model")
     model = parse_model(args.model)
     config = _detector_config(args)
-    if args.out:
-        _run_manifest(args, args.out, config, model=args.model,
-                      threshold=args.threshold, reps=args.reps)
     try:
         est = true_arl_mc(
             model, config, n_reps=args.reps, horizon_cap=args.horizon_cap,
@@ -241,6 +239,9 @@ def cmd_oracle(args) -> int:
         )
     except RuntimeError as exc:
         raise CliError(str(exc)) from None
+    if args.out:
+        _run_manifest(args, args.out, config, model=args.model,
+                      threshold=args.threshold, reps=args.reps)
     payload = {
         "true_arl": est.value,
         "sem": est.sem,
@@ -263,9 +264,12 @@ def cmd_verify_bounds(args) -> int:
     reports = []
     all_contained = True
     for n in ns:
-        rep = bias_bounds(
-            event, censor, n=n, a=args.a, mc_reps=args.reps, seed=args.seed
-        )
+        try:
+            rep = bias_bounds(
+                event, censor, n=n, a=args.a, mc_reps=args.reps, seed=args.seed
+            )
+        except RuntimeError as exc:
+            raise CliError(str(exc)) from None
         reports.append(rep)
         all_contained &= rep.contained
         print(

@@ -110,6 +110,10 @@ class DetectorConfig:
                 raise ValueError(f"{self.kind} requires a likelihood model")
         elif self.model is not None:
             raise ValueError(f"{self.kind} does not take a likelihood model")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.kind == "gsr" and self.omega < 0:
             raise ValueError("omega must be >= 0")
         if not 0.0 < self.ewma_lambda <= 1.0:

@@ -230,6 +230,8 @@ def sweep(
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
+    if any(math.isnan(t) for t in thresholds):
+        raise ValueError("threshold grid must not contain NaN")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
     metrics = tuple(metrics)

@@ -5,8 +5,9 @@ Three routes live here:
 * Monte-Carlo true run length / detection delay on effectively infinite
   streams (``true_arl_mc`` / ``true_add_mc``), through one per-frame loop
   over the replications that have not alarmed, each with its own changepoint.
-* Gauss-Legendre quadrature of the finite-sample bias-bound integrals for
-  restricted means under random censoring (``bias_bounds``), together with a
+* Piecewise Gauss-Legendre quadrature of the finite-sample bias-bound
+  integrals for restricted means under random censoring (``bias_bounds``),
+  split at the censoring law's breakpoints, together with a
   Monte-Carlo bias measurement of the estimator under test
   (``rmst_km_batch``) that must fall inside the bounds.
 * An empirical check of the truncation-bias ordering between the
@@ -129,8 +130,10 @@ class BoundReport:
     contained: bool
 
 
-def _bound_integrals(event: Dist, censor: Dist, n: int, a: float, quad_points: int):
-    """Quadrature of int_0^a {t, a} G(t) H(t)^(n-1) dF(t)."""
+def _bound_integrals(event: Dist, censor: Dist, n: int, a: float, q: int):
+    """Quadrature of int_0^a {t, a} G(t) H(t)^(n-1) dF(t), with a q-node
+    Gauss-Legendre rule on each piece between the censoring law's breakpoints
+    inside the event support."""
     if event.kind == "empirical":
         mask = event.times <= a
         t = event.times[mask]
@@ -140,9 +143,13 @@ def _bound_integrals(event: Dist, censor: Dist, n: int, a: float, quad_points: i
         lo, hi = max(0.0, lo), min(a, hi)
         if hi <= lo:
             return 0.0, 0.0
-        x, gl_w = leggauss(quad_points)
-        t = 0.5 * (hi - lo) * (x + 1.0) + lo
-        w = 0.5 * (hi - lo) * gl_w * event.pdf(t)
+        # Where G is not smooth: the ends of its support, or its atoms.
+        breaks = np.unique(censor.times if censor.kind == "empirical" else censor.support())
+        edges = np.concatenate(([lo], breaks[(breaks > lo) & (breaks < hi)], [hi]))
+        left, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+        x, gl_w = leggauss(q)
+        t = (half * (x + 1.0) + left).ravel()
+        w = (half * gl_w).ravel() * event.pdf(t)
     g = censor.cdf(t)
     h = 1.0 - (1.0 - event.cdf(t)) * (1.0 - g)
     core = g * h ** (n - 1) * w
@@ -151,49 +158,54 @@ def _bound_integrals(event: Dist, censor: Dist, n: int, a: float, quad_points: i
     return lower, upper
 
 
+_QUAD_START, _QUAD_CAP = 64, 4096  # Gauss-Legendre nodes per piece
+
+
+def _mc_rng(reps: int, seed: int, name: str) -> np.random.Generator:
+    if reps < 2:  # a mean and its standard error need two replications
+        raise ValueError(f"{name} must be >= 2, got {reps}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def bias_bounds(
     event: Dist,
     censor: Dist,
     n: int,
     a: float,
-    quad_points: int = 64,
     mc_reps: int = 10_000,
     seed: int = 0,
 ) -> BoundReport:
     """Finite-sample bias bounds for the restricted mean of a product-limit
     fit on n censored samples, verified against a Monte-Carlo bias estimate.
 
-    The quadrature is refined by doubling nodes until two consecutive values
-    agree to 1e-8 relative; the Monte-Carlo bias must lie inside the bounds
-    inflated by its own 3-sigma confidence halfwidth.
+    The quadrature starts at 64 nodes per piece and doubles them until two
+    consecutive values agree to 1e-8 relative, failing before a rule would
+    pass 4096 nodes; the Monte-Carlo bias must lie inside the bounds inflated
+    by its own 3-sigma confidence halfwidth.
     """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if mc_reps < 2:  # a mean and its standard error need two replications
-        raise ValueError(f"mc_reps must be >= 2, got {mc_reps}")
-    lower, upper = _bound_integrals(event, censor, n, a, quad_points)
-    if event.kind != "empirical":
-        q = quad_points
-        while True:
-            q2 = 2 * q
-            lower2, upper2 = _bound_integrals(event, censor, n, a, q2)
-            scale = max(abs(lower2) + abs(upper2), 1e-300)
-            if abs(lower2 - lower) + abs(upper2 - upper) < 1e-8 * scale:
-                lower, upper = lower2, upper2
-                break
-            lower, upper = lower2, upper2
-            q = q2
-            if q > 1 << 16:
-                raise RuntimeError("quadrature did not converge")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"a must be finite and >= 0, got {a}")
+    rng = _mc_rng(mc_reps, seed, "mc_reps")
+    q = _QUAD_START
+    lower, upper = _bound_integrals(event, censor, n, a, q)
+    while event.kind != "empirical":
+        if 2 * q > _QUAD_CAP:
+            raise RuntimeError(f"bias-bound quadrature did not converge by {q} nodes")
+        q *= 2
+        last = lower, upper
+        lower, upper = _bound_integrals(event, censor, n, a, q)
+        scale = max(abs(lower) + abs(upper), 1e-300)
+        if abs(lower - last[0]) + abs(upper - last[1]) < 1e-8 * scale:
+            break
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     ev = event.sample(rng, (mc_reps, n))
     ce = censor.sample(rng, (mc_reps, n))
     times = np.minimum(ev, ce)
     observed = ev < ce
     values = rmst_km_batch(times, observed, a)
-    truth = event.restricted_mean(a)
-    mc_bias = float(values.mean() - truth)
+    mc_bias = float(np.mean(values - event.restricted_mean(a)))
     ci = 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)
     contained = (lower - ci) <= mc_bias <= (upper + ci)
     return BoundReport(
@@ -274,6 +286,34 @@ def _first_alarms(
     return tau
 
 
+def _estimate(model, detector, nus, origin, horizon_cap, rng) -> MCEstimate:
+    """Mean of tau - origin over the replications with tau >= origin.
+
+    Replications that reach horizon_cap without an alarm count as retained;
+    the estimate errors out when 0.1% or more of the retained ones did, to
+    keep the oracle itself free of truncation bias.
+    """
+    tau = _first_alarms(model, detector, nus, horizon_cap, rng)
+    kept = tau >= origin
+    n_capped = int(np.sum(tau < 0))
+    n_retained = int(kept.sum()) + n_capped
+    cap_fraction = n_capped / max(n_retained, 1)
+    if cap_fraction >= 1e-3:
+        raise RuntimeError(
+            f"increase horizon_cap: {n_capped}/{n_retained} retained replications hit the cap"
+        )
+    values = (tau - origin)[kept].astype(np.float64)
+    if values.size < 2:
+        raise RuntimeError("fewer than two replications survived the false-alarm filter")
+    return MCEstimate(
+        value=float(values.mean()),
+        sem=float(values.std(ddof=1) / math.sqrt(values.size)),
+        n_reps=nus.size,
+        cap_fraction=cap_fraction,
+        retention_fraction=n_retained / nus.size,
+    )
+
+
 def true_arl_mc(
     model: LikelihoodModel,
     detector: DetectorConfig,
@@ -282,30 +322,10 @@ def true_arl_mc(
     seed: int = 0,
     chunk: int = 256,
 ) -> MCEstimate:
-    """Mean first-alarm time on pre-change-only streams.
-
-    Errors out when 0.1% or more of the replications reach horizon_cap
-    without an alarm, to keep the oracle itself free of truncation bias.
-    ``chunk`` is accepted and has no effect.
-    """
-    if n_reps < 2:
-        raise ValueError(f"n_reps must be >= 2, got {n_reps}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    nus = np.full(n_reps, math.inf)
-    tau = _first_alarms(model, detector, nus, horizon_cap, rng)
-    n_cap = int(np.sum(tau < 0))
-    cap_fraction = n_cap / n_reps
-    if cap_fraction >= 1e-3:
-        raise RuntimeError(
-            f"increase horizon_cap: {n_cap}/{n_reps} replications hit the cap"
-        )
-    done = tau[tau >= 0].astype(np.float64)
-    return MCEstimate(
-        value=float(done.mean()),
-        sem=float(done.std(ddof=1) / math.sqrt(done.size)),
-        n_reps=n_reps,
-        cap_fraction=cap_fraction,
-    )
+    """Mean first-alarm time on pre-change-only streams. ``chunk`` is
+    accepted and has no effect."""
+    rng = _mc_rng(n_reps, seed, "n_reps")
+    return _estimate(model, detector, np.full(n_reps, math.inf), 0, horizon_cap, rng)
 
 
 def true_add_mc(
@@ -321,40 +341,18 @@ def true_add_mc(
 
     Each replication runs the detector from frame 0 with pre-change frames
     before its changepoint and post-change after; replications alarming
-    before the change (false alarms) are discarded. The cap error applies to
-    the retained replications. ``chunk`` is accepted and has no effect.
+    before the change (false alarms) are discarded. ``chunk`` is accepted
+    and has no effect.
     """
-    if n_reps < 2:
-        raise ValueError(f"n_reps must be >= 2, got {n_reps}")
+    rng = _mc_rng(n_reps, seed, "n_reps")
     law = tuple(changepoint_law)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if law[0] == "geometric":
         nus = rng.geometric(law[1], size=n_reps).astype(np.float64) - 1.0
     elif law[0] == "fixed":
         nus = np.full(n_reps, float(law[1]))
     else:
         raise ValueError(f"unsupported changepoint law for the oracle: {law[0]}")
-    tau = _first_alarms(model, detector, nus, horizon_cap, rng)
-
-    alarmed = tau >= 0
-    retained = alarmed & (tau >= nus)
-    n_capped = n_reps - int(alarmed.sum())
-    n_retained = int(retained.sum()) + n_capped  # capped reps never false-alarmed
-    cap_fraction = n_capped / max(n_retained, 1)
-    if cap_fraction >= 1e-3:
-        raise RuntimeError(
-            f"increase horizon_cap: {n_capped} retained replications hit the cap"
-        )
-    delays = (tau[retained] - nus[retained]).astype(np.float64)
-    if delays.size < 2:
-        raise RuntimeError("fewer than two replications survived the false-alarm filter")
-    return MCEstimate(
-        value=float(delays.mean()),
-        sem=float(delays.std(ddof=1) / math.sqrt(delays.size)),
-        n_reps=n_reps,
-        cap_fraction=cap_fraction,
-        retention_fraction=n_retained / n_reps,
-    )
+    return _estimate(model, detector, nus, nus, horizon_cap, rng)
 
 
 @dataclass(frozen=True)

@@ -82,23 +82,28 @@ class SimSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SimSpec":
-        m = obj["model"]
-        model = LikelihoodModel(
-            kind=m["kind"],
-            mu0=m.get("mu0", 0.0),
-            mu1=m.get("mu1", 0.0),
-            var=m.get("var", 1.0),
-            lam0=m.get("lam0", 1.0),
-            lam1=m.get("lam1", 1.0),
-        )
-        return SimSpec(
-            model=model,
-            n_sequences=int(obj["n_sequences"]),
-            length_law=tuple(obj["length_law"]),
-            changepoint_law=tuple(obj.get("changepoint_law", ["none"])),
-            with_change_fraction=float(obj.get("with_change_fraction", 0.0)),
-            seed=int(obj.get("seed", 0)),
-        )
+        try:
+            m = obj["model"]
+            model = LikelihoodModel(
+                kind=m["kind"],
+                mu0=m.get("mu0", 0.0),
+                mu1=m.get("mu1", 0.0),
+                var=m.get("var", 1.0),
+                lam0=m.get("lam0", 1.0),
+                lam1=m.get("lam1", 1.0),
+            )
+            return SimSpec(
+                model=model,
+                n_sequences=int(obj["n_sequences"]),
+                length_law=tuple(obj["length_law"]),
+                changepoint_law=tuple(obj.get("changepoint_law", ["none"])),
+                with_change_fraction=float(obj.get("with_change_fraction", 0.0)),
+                seed=int(obj.get("seed", 0)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"simulation spec is missing key {exc}") from None
+        except (AttributeError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed simulation spec: {exc}") from None
 
 
 def _check_length_law(law):
@@ -136,7 +141,8 @@ class LabeledDataset:
 
 def _seq_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(stream)
-    return np.random.Generator(np.random.Philox(key=key).jumped(index))
+    # Counter word 2 holds the jump count: the state of Philox(key).jumped(index).
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, index, 0]))
 
 
 def _draw_length(rng, law) -> int:

@@ -499,3 +499,183 @@ class TestDuplicateIdsAndManifest:
         }
         assert config["detector"] == "gsr" and config["threshold"] == 4.0
         assert manifest["command"] == "evaluate"
+
+
+class TestBoundsExitCodes:
+    def _verify(self, family, n, a, *extra):
+        return main(["verify-bounds", "--family", family, "--n", n, "--a", a, *extra])
+
+    def test_horizon_past_the_censoring_support(self, quad_nodes, capsys):
+        code = self._verify("exp:1,unif:0,2", "5,20,100", "5")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "all contained"
+        assert max(quad_nodes) <= 128
+
+    def test_exact_zero_bounds_contained(self, quad_nodes, capsys):
+        code = self._verify("unif:0.5,3,unif:1,2", "5", "0.1", "--reps", "2000")
+        assert code == 0
+        assert "bounds [0, 0] mc_bias=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_exit_2(self, quad_nodes, capsys, n):
+        assert self._verify("exp:1,unif:0,2", n, "1") == 2
+        captured = capsys.readouterr()
+        assert "n must be >= 1" in captured.err and "VIOLATED" not in captured.out
+
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_horizon_exit_2(self, quad_nodes, capsys, a):
+        assert self._verify("exp:1,unif:0,2", "5", a) == 2
+        assert "a must be finite" in capsys.readouterr().err
+
+    def test_unconverged_quadrature_exit_2(self, tmp_path, monkeypatch, capsys):
+        from qcdeval import oracle
+
+        calls = []
+
+        def never_converges(event, censor, n, a, q):
+            if q > 4096:
+                raise AssertionError(f"built a {q}-node rule past the cap")
+            calls.append(q)
+            return -float(len(calls)), float(len(calls))
+
+        monkeypatch.setattr(oracle, "_bound_integrals", never_converges)
+        out = tmp_path / "b.csv"
+        code = self._verify("exp:1,unif:0,2", "5", "1", "--out", str(out))
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "b.csv.manifest.json").exists()
+
+
+class TestNanThresholds:
+    DETECTORS = {
+        "gsr": ["--model", "gaussian:0,0.1,0.1"],
+        "cusum": ["--model", "gaussian:0,0.1,0.1"],
+        "ewma": [],
+        "window-l1": ["--window-size", "5", "--burn-in", "5"],
+        "window-normal": ["--window-size", "5", "--burn-in", "5"],
+    }
+
+    @pytest.mark.parametrize("detector", list(DETECTORS))
+    def test_evaluate_nan_threshold_exit_2(self, tmp_path, data_file, capsys, detector):
+        code = main(
+            [
+                "evaluate",
+                "--data", str(data_file),
+                "--detector", detector,
+                *self.DETECTORS[detector],
+                "--threshold", "nan",
+                "--out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == 2
+        assert "threshold must not be NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_curve_nan_grid_point_exit_2(self, tmp_path, data_file, capsys):
+        out = tmp_path / "c.csv"
+        code = main(
+            [
+                "curve",
+                "--data", str(data_file),
+                "--detector", "gsr",
+                "--model", "gaussian:0,0.1,0.1",
+                "--thresholds", "1,nan,30",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "threshold grid must not contain NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_survival_nan_threshold_exit_2(self, tmp_path, data_file):
+        code = main(
+            [
+                "survival",
+                "--data", str(data_file),
+                "--detector", "cusum",
+                "--model", "gaussian:0,0.1,0.1",
+                "--threshold", "nan",
+                "--out", str(tmp_path / "s.csv"),
+            ]
+        )
+        assert code == 2
+
+    def test_oracle_nan_threshold_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle",
+                "--model", "gaussian:0,0.1,0.1",
+                "--detector", "gsr",
+                "--threshold", "nan",
+                "--reps", "100",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "threshold must not be NaN" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_omega_exit_2(self, tmp_path, data_file, capsys, omega):
+        code = main(
+            [
+                "evaluate",
+                "--data", str(data_file),
+                "--detector", "gsr",
+                "--model", "gaussian:0,0.1,0.1",
+                "--threshold", "20",
+                "--omega", omega,
+                "--out", str(tmp_path / "o.json"),
+            ]
+        )
+        assert code == 2
+        assert "omega must be finite" in capsys.readouterr().err
+
+
+class TestSpecAndOracleManifest:
+    @pytest.mark.parametrize(
+        "spec,missing",
+        [({}, "model"), ({"model": {"kind": "gaussian"}}, "n_sequences"),
+         ({"model": {}, "n_sequences": 3, "length_law": ["fixed", 5]}, "kind")],
+    )
+    def test_simulate_spec_missing_key_exit_2(self, tmp_path, capsys, spec, missing):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "d.jsonl"
+        assert main(["simulate", "--spec", str(path), "--out", str(out)]) == 2
+        assert f"simulation spec is missing key '{missing}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_failure_leaves_no_manifest(self, tmp_path):
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle",
+                "--model", "gaussian:0,0.1,0.1",
+                "--detector", "gsr",
+                "--threshold", "20",
+                "--reps", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_writes_manifest_with_result(self, tmp_path):
+        out = tmp_path / "o.json"
+        code = main(
+            [
+                "oracle",
+                "--model", "gaussian:0,0.1,0.1",
+                "--detector", "gsr",
+                "--threshold", "5",
+                "--reps", "200",
+                "--horizon-cap", "10000",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+        assert manifest["command"] == "oracle" and manifest["config"]["reps"] == 200
+        assert json.loads(out.read_text())["n_reps"] == 200

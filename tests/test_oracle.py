@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames
+from qcdeval import oracle
 from qcdeval.metrics import MetricEstimate
 from qcdeval.oracle import (
     Dist,
+    MCEstimate,
     _first_alarms,
     bias_bounds,
     true_add_mc,
@@ -84,6 +86,103 @@ class TestBiasBounds:
         a = bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0, seed=9)
         b = bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0, seed=9)
         assert a == b
+
+
+BREAKPOINT_PAIRS = [
+    ("exp:1", "unif:0,2"),
+    ("unif:0,1", "exp:1"),
+    ("exp:1", "exp:0.5"),
+    ("unif:0,2", "unif:0,3"),
+    ("exp:2", "unif:0,1"),
+    ("unif:0.5,3", "unif:1,2"),
+]
+
+
+def reference_bounds(event, censor, n, a):
+    """The bound integrals by adaptive quadrature, split at the censoring
+    law's breakpoints."""
+    from scipy.integrate import quad
+
+    lo, hi = event.support()
+    lo, hi = max(0.0, lo), min(a, hi)
+    if hi <= lo:
+        return 0.0, 0.0
+
+    def core(t):
+        g = np.asarray(censor.cdf(t)).item()  # an empirical cdf returns shape (1,)
+        h = 1.0 - (1.0 - float(event.cdf(t))) * (1.0 - g)
+        return g * h ** (n - 1) * float(event.pdf(t))
+
+    breaks = censor.times if censor.kind == "empirical" else censor.support()
+    points = [b for b in breaks if lo < b < hi] or None
+    opts = dict(points=points, epsabs=0.0, epsrel=1e-13, limit=200)
+    lower = -quad(lambda t: t * core(t), lo, hi, **opts)[0]
+    upper = a * quad(core, lo, hi, **opts)[0]
+    return lower, upper
+
+
+class TestBoundQuadrature:
+    @pytest.mark.parametrize("event,censor", BREAKPOINT_PAIRS)
+    def test_converges_past_the_censoring_support(self, quad_nodes, event, censor):
+        # Horizons beyond the censoring law's support put its breakpoints
+        # inside the rule; a single Gauss-Legendre piece never converges there.
+        ev, ce = Dist.parse(event), Dist.parse(censor)
+        for n in (1, 2, 5, 20, 100, 500):
+            for a in (0.1, 0.5, 1.0, 2.0, 5.0):
+                rep = bias_bounds(ev, ce, n=n, a=a, mc_reps=2, seed=1)
+                assert rep.lower <= 0.0 <= rep.upper
+                want = reference_bounds(ev, ce, n, a)
+                scale = max(abs(want[0]) + abs(want[1]), 1e-300)
+                err = abs(rep.lower - want[0]) + abs(rep.upper - want[1])
+                assert err <= 1e-10 * scale, (n, a, rep, want)
+        assert max(quad_nodes) <= 128
+
+    def test_empirical_censoring_law(self, quad_nodes):
+        ev = Dist("exp", 1.0)
+        ce = Dist("empirical", [3.0, 0.5, 1.0, 1.0], [0.4, 0.2, 0.3, 0.1])
+        rep = bias_bounds(ev, ce, n=5, a=2.0, mc_reps=4000, seed=2)
+        want = reference_bounds(ev, ce, 5, 2.0)
+        assert rep.lower == pytest.approx(want[0], rel=1e-10)
+        assert rep.upper == pytest.approx(want[1], rel=1e-10)
+        assert rep.contained
+
+    def test_one_piece_cells_keep_their_bits(self):
+        # Breakpoints on or outside [0, a] leave a single rule: the values
+        # recorded before the rule was split.
+        rep = bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0, mc_reps=100)
+        assert (rep.lower, rep.upper) == (-0.018931146191489636, 0.02395161712015023)
+        rep = bias_bounds(Dist("unif", 0.0, 1.0), Dist("exp", 1.0), 20, 0.5, mc_reps=100)
+        assert (rep.lower, rep.upper) == (-6.5979804432464075e-06, 7.040424899902142e-06)
+
+    def test_node_cap_checked_before_the_rule_is_built(self, monkeypatch):
+        seen = []
+
+        def never_converges(event, censor, n, a, q):
+            seen.append(q)
+            return -float(len(seen)), float(len(seen))
+
+        monkeypatch.setattr(oracle, "_bound_integrals", never_converges)
+        with pytest.raises(RuntimeError, match="did not converge by 4096 nodes"):
+            bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0)
+        assert seen == [64, 128, 256, 512, 1024, 2048, 4096]
+
+    def test_exact_zero_bounds_give_exact_zero_bias(self):
+        # Every event lies beyond the horizon: each restricted mean equals
+        # the truth, so the bias is 0.0, not a rounding residue of the mean.
+        rep = bias_bounds(Dist("unif", 0.5, 3.0), Dist("unif", 1.0, 2.0), 5, 0.1,
+                          mc_reps=2000)
+        assert (rep.lower, rep.upper, rep.mc_bias) == (0.0, 0.0, 0.0)
+        assert rep.contained
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, quad_nodes, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n, 1.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_horizon(self, quad_nodes, a):
+        with pytest.raises(ValueError, match="a must be finite and >= 0"):
+            bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, a)
 
 
 class TestTrueARL:
@@ -223,6 +322,36 @@ class RecordingGenerator:
         k = self.rng.poisson(lam)
         self.draws.append(k.copy())
         return k
+
+
+class TestSharedEstimator:
+    # Both oracles are one estimator: origin 0 on pre-change-only streams for
+    # the ARL, origin nu for the ADD. These values were recorded before the
+    # two were merged, so no draw has moved.
+    def test_arl_values_recorded_before_the_merge(self):
+        cfg = DetectorConfig(kind="gsr", threshold=30.0, model=GAUSS)
+        assert true_arl_mc(GAUSS, cfg, 2000, 5000, seed=3) == MCEstimate(
+            value=36.188, sem=0.5441106102421538, n_reps=2000, cap_fraction=0.0,
+            retention_fraction=1.0,
+        )
+
+    def test_add_values_recorded_before_the_merge(self):
+        cfg = DetectorConfig(kind="cusum", threshold=3.0, model=POISSON)
+        est = true_add_mc(POISSON, cfg, ("geometric", 0.02), 2000, 5000, seed=3)
+        assert est == MCEstimate(
+            value=6.451384417256922, sem=0.13895824071812946, n_reps=2000,
+            cap_fraction=0.0, retention_fraction=0.7765,
+        )
+
+    def test_capped_replications_count_as_retained(self):
+        # CUSUM on a downward model never alarms: every replication is capped
+        # and retained, in both oracles.
+        model = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=-1.0, var=1.0)
+        cfg = DetectorConfig(kind="cusum", threshold=50.0, model=model)
+        with pytest.raises(RuntimeError, match="100/100 retained replications hit the cap"):
+            true_arl_mc(model, cfg, n_reps=100, horizon_cap=50, seed=0)
+        with pytest.raises(RuntimeError, match="100/100 retained replications hit the cap"):
+            true_add_mc(model, cfg, ("fixed", 10), n_reps=100, horizon_cap=50, seed=0)
 
 
 class TestFirstAlarmLoop:

@@ -7,7 +7,9 @@ import pytest
 from qcdeval.detectors import LikelihoodModel
 from qcdeval.metrics import INF, SequenceMeta
 from qcdeval.simulate import (
+    _TRUNCATE_STREAM,
     LabeledDataset,
+    _seq_rng,
     SimSpec,
     load_jsonl,
     save_jsonl,
@@ -52,6 +54,24 @@ class TestSimSpec:
         assert SimSpec.from_json(s.to_json()) == s
         s2 = spec(model=POISSON)
         assert SimSpec.from_json(s2.to_json()).model.kind == "poisson"
+
+
+class TestSequenceStreams:
+    @pytest.mark.parametrize("stream", [0, _TRUNCATE_STREAM])
+    def test_matches_jumped_philox(self, stream):
+        # Each sequence's stream is the key's Philox stream jumped i times.
+        for seed in (0, 123, -1):
+            key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(stream)
+            for i in (0, 1, 5, 12345, 10**6):
+                got = _seq_rng(seed, i, stream)
+                want = np.random.Generator(np.random.Philox(key=key).jumped(i))
+                g, w = got.bit_generator.state, want.bit_generator.state
+                for part in ("counter", "key"):
+                    assert np.array_equal(g["state"][part], w["state"][part])
+                assert g["buffer_pos"] == w["buffer_pos"]
+                assert got.random() == want.random()
+                assert got.integers(0, 1 << 40) == want.integers(0, 1 << 40)
+                assert got.standard_normal() == want.standard_normal()
 
 
 class TestSimulate:
