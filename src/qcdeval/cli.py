@@ -3,13 +3,15 @@
 Subcommands: simulate, evaluate, curve, survival, oracle, verify-bounds.
 Exit codes: 0 success, 2 validation/usage error (``CliError``, ``OSError`` or
 ``ValueError``, mapped in ``main``), 3 verification failure.
-Every run writes a manifest JSON before its result files; ``oracle`` and
-``verify-bounds`` write theirs once the computation has succeeded.
+Every run writes a manifest JSON after its result files, so a run that fails
+leaves neither. ``evaluate`` is a one-threshold ``sweep``, and ``survival``
+fits one alarm column of ``harness.alarm_columns``, which ``sweep`` reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -17,11 +19,15 @@ import sys
 import numpy as np
 
 from .detectors import DETECTOR_KINDS, DetectorConfig, LikelihoodModel
-from .harness import emit_curve, ingest, run_all, sweep, write_manifest
-from .metrics import METRIC_NAMES, arl_samples, add_samples, compute_metric
+from .harness import alarm_columns, emit_curve, ingest, sweep, write_manifest
+# Not called here, kept because qcdbench's traced runs wrap cli.run_all.
+from .harness import run_all  # noqa: F401
+from .metrics import METRIC_NAMES, add_columns, arl_columns
+# Not called here, kept because qcdbench's traced runs wrap cli.compute_metric.
+from .metrics import compute_metric  # noqa: F401
 from .oracle import Dist, bias_bounds, true_arl_mc
 from .simulate import SimSpec, save_jsonl, simulate
-from .survival import fit_km
+from .survival import fit_km_arrays
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -133,7 +139,6 @@ def _add_common(p):
     # None means "not given": simulate then defers to the seed in the spec
     # file; every other subcommand falls back to 0.
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--manifest", default=None, help="manifest path (default <out>.manifest.json)")
 
 
@@ -163,35 +168,36 @@ def cmd_simulate(args) -> int:
         spec = SimSpec.from_json(json.load(fh))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    dataset = simulate(spec)
+    save_jsonl(dataset, args.out)
     write_manifest(
         _manifest_path(args, args.out),
         command="simulate",
         config=spec.to_json(),
         seed=spec.seed,
     )
-    dataset = simulate(spec)
-    save_jsonl(dataset, args.out)
     print(f"wrote {len(dataset)} sequences to {args.out}")
     return EXIT_OK
+
+
+def _metrics(args) -> list[str]:
+    metrics = [m for m in args.metrics.split(",") if m]
+    if not metrics or set(metrics) - set(METRIC_NAMES):
+        raise CliError(f"bad metric list {args.metrics!r}")
+    return metrics
 
 
 def cmd_evaluate(args) -> int:
     dataset = _load(args)
     config = _detector_config(args)
-    metrics = [m for m in args.metrics.split(",") if m]
-    unknown = set(metrics) - set(METRIC_NAMES)
-    if not metrics or unknown:
-        raise CliError(f"bad metric list {args.metrics!r}")
+    metrics = _metrics(args)
+    point = sweep(dataset, config, [args.threshold], metrics).points[0]
+    with open(args.out, "w") as fh:
+        json.dump({name: est.to_json() for name, est in point.estimates.items()},
+                  fh, indent=2)
+        fh.write("\n")
     _run_manifest(args, args.out, config, dataset,
                   threshold=args.threshold, metrics=metrics)
-    outcomes = run_all(dataset, config, args.workers)
-    results = {
-        name: compute_metric(name, dataset.metas, outcomes).to_json()
-        for name in metrics
-    }
-    with open(args.out, "w") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
     print(f"wrote metrics for {len(dataset)} sequences to {args.out}")
     return EXIT_OK
 
@@ -200,14 +206,12 @@ def cmd_curve(args) -> int:
     dataset = _load(args)
     config = _detector_config(args)
     grid = parse_thresholds(args.thresholds)
-    metrics = [m for m in args.metrics.split(",") if m]
-    if not metrics or set(metrics) - set(METRIC_NAMES):
-        raise CliError(f"bad metric list {args.metrics!r}")
-    _run_manifest(args, args.out, config, dataset, thresholds=grid, metrics=metrics)
-    result = sweep(dataset, config, grid, metrics, workers=args.workers)
+    metrics = _metrics(args)
+    result = sweep(dataset, config, grid, metrics)
     emit_curve(result, args.out, fmt="csv")
     if args.svg:
         emit_curve(result, args.svg, fmt="svg")
+    _run_manifest(args, args.out, config, dataset, thresholds=grid, metrics=metrics)
     print(f"wrote {len(grid)}-point curve to {args.out}")
     return EXIT_OK
 
@@ -215,15 +219,15 @@ def cmd_curve(args) -> int:
 def cmd_survival(args) -> int:
     dataset = _load(args)
     config = _detector_config(args)
+    lengths, nu, tau = alarm_columns(dataset, config, [args.threshold])
+    rule = arl_columns if args.kind == "arl" else add_columns
+    times, events = rule(lengths, nu, tau[:, 0])
+    if not times.size:
+        raise CliError(f"no {args.kind} samples in this dataset")
+    fit_km_arrays(times, events).to_csv(args.out)
     _run_manifest(args, args.out, config, dataset,
                   threshold=args.threshold, kind=args.kind)
-    outcomes = run_all(dataset, config, args.workers)
-    builder = arl_samples if args.kind == "arl" else add_samples
-    samples = builder(dataset.metas, outcomes)
-    if not samples:
-        raise CliError(f"no {args.kind} samples in this dataset")
-    fit_km(samples).to_csv(args.out)
-    print(f"wrote {args.kind} survival curve ({len(samples)} samples) to {args.out}")
+    print(f"wrote {args.kind} survival curve ({times.size} samples) to {args.out}")
     return EXIT_OK
 
 
@@ -239,9 +243,6 @@ def cmd_oracle(args) -> int:
         )
     except RuntimeError as exc:
         raise CliError(str(exc)) from None
-    if args.out:
-        _run_manifest(args, args.out, config, model=args.model,
-                      threshold=args.threshold, reps=args.reps)
     payload = {
         "true_arl": est.value,
         "sem": est.sem,
@@ -252,6 +253,8 @@ def cmd_oracle(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(line)
+        _run_manifest(args, args.out, config, model=args.model,
+                      threshold=args.threshold, reps=args.reps)
     sys.stdout.write(line)
     return EXIT_OK
 
@@ -278,24 +281,17 @@ def cmd_verify_bounds(args) -> int:
             f"{'contained' if rep.contained else 'VIOLATED'}"
         )
     if args.out:
+        fields = ("n", "a", "lower", "upper", "mc_bias", "mc_ci_halfwidth", "contained")
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(fields)
+            writer.writerows([getattr(r, k) for k in fields] for r in reports)
         write_manifest(
             _manifest_path(args, args.out),
             command="verify-bounds",
             config={"family": args.family, "n": ns, "a": args.a, "reps": args.reps},
             seed=args.seed,
         )
-        import csv as _csv
-
-        with open(args.out, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(
-                ["n", "a", "lower", "upper", "mc_bias", "mc_ci_halfwidth", "contained"]
-            )
-            for r in reports:
-                d = dataclasses.asdict(r)
-                writer.writerow([d[k] for k in
-                                 ("n", "a", "lower", "upper", "mc_bias",
-                                  "mc_ci_halfwidth", "contained")])
     print("all contained" if all_contained else "containment VIOLATED")
     return EXIT_OK if all_contained else EXIT_VERIFICATION
 

@@ -1,12 +1,13 @@
 """Online changepoint detectors producing first-alarm times.
 
-Five detectors share one calling convention. ``alarm_frames(values, config,
-thresholds)`` returns the first frame at which the statistic reaches each
-threshold, or -1 where it never does; every detector alarms at the first
-frame where its statistic reaches the threshold, so one scan of the
-sequence serves every threshold. ``run_detector(values, config)`` is its
-one-threshold case at ``config.threshold``, returning the alarm as a
-``DetectionOutcome`` (tau = inf for no alarm). GSR and CUSUM are
+Five detectors share one calling convention. ``detector_levels`` turns a
+threshold grid into statistic levels once per run, and ``scan(values,
+config, levels)`` returns the first frame at which the statistic reaches
+each level, or -1 where it never does, so one scan of a sequence serves
+every threshold. ``alarm_frames(values, config, thresholds)`` is the two in
+a row; ``run_detector(values, config)`` is its one-threshold case at
+``config.threshold``, returning the alarm as a ``DetectionOutcome`` (tau =
+inf for no alarm). GSR and CUSUM are
 likelihood-ratio based and need a model of the pre/post distributions; EWMA
 and the two window detectors are model-free.
 
@@ -41,6 +42,8 @@ __all__ = [
     "run_ewma",
     "run_window",
     "run_detector",
+    "detector_levels",
+    "scan",
     "alarm_frames",
     "DETECTOR_KINDS",
 ]
@@ -137,46 +140,54 @@ def _as_matrix(values) -> np.ndarray:
     raise ValueError("sequence values must be 1-D or 2-D")
 
 
-def _gsr_frames(values, config: DetectorConfig, thresholds):
-    """Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t), R(-1) = omega,
-    computed in log space; alarm at R >= threshold."""
+def _univariate(values, config: DetectorConfig) -> np.ndarray:
     arr = _as_matrix(values)
     if arr.shape[1] != 1:
-        raise ValueError("gsr supports univariate sequences only")
-    llr = config.model.llr(arr[:, 0])
+        raise ValueError(f"{config.kind} supports univariate sequences only")
+    return arr[:, 0]
+
+
+def detector_levels(config: DetectorConfig, thresholds) -> np.ndarray:
+    """The level each threshold of a grid (scalar or array, read in C order)
+    sets for the configured detector's statistic, as a 1-D float64 array:
+    log h for gsr (-inf for h <= 0), h itself for the others."""
+    grid = np.ravel(np.asarray(thresholds, dtype=np.float64))
+    if np.isnan(grid).any():
+        raise ValueError("threshold grid must not contain NaN")
+    if config.kind != "gsr":
+        return grid
     # math.log one threshold at a time, not a vectorised np.log: the two
     # differ in the last bit for some thresholds, and log h sets the level
     # that exact ties are resolved against.
-    log_thr = [math.log(h) if h > 0 else -INF for h in np.ravel(thresholds)]
-    return _kernels.gsr_first_alarm(
-        llr, np.reshape(log_thr, np.shape(thresholds)), config.omega
-    )
+    return np.array([math.log(h) if h > 0 else -INF for h in grid.tolist()])
 
 
-def _cusum_frames(values, config: DetectorConfig, thresholds):
-    """Page recursion W(t) = max(0, W(t-1) + llr_t); alarm at W >= threshold."""
-    arr = _as_matrix(values)
-    if arr.shape[1] != 1:
-        raise ValueError("cusum supports univariate sequences only")
-    return _kernels.cusum_first_alarm(config.model.llr(arr[:, 0]), thresholds)
+def _gsr_frames(values, config: DetectorConfig, levels):
+    """Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t), R(-1) = omega,
+    computed in log space; alarm at log R >= level."""
+    llr = config.model.llr(_univariate(values, config))
+    return _kernels.gsr_first_alarm(llr, levels, config.omega)
 
 
-def _ewma_frames(values, config: DetectorConfig, thresholds):
+def _cusum_frames(values, config: DetectorConfig, levels):
+    """Page recursion W(t) = max(0, W(t-1) + llr_t); alarm at W >= level."""
+    llr = config.model.llr(_univariate(values, config))
+    return _kernels.cusum_first_alarm(llr, levels)
+
+
+def _ewma_frames(values, config: DetectorConfig, levels):
     """Exponentially weighted moving average with exact time-varying control
     limits estimated from the burn-in frames."""
-    arr = _as_matrix(values)
-    if arr.shape[1] != 1:
-        raise ValueError("ewma supports univariate sequences only")
-    x = np.ascontiguousarray(arr[:, 0])
+    x = np.ascontiguousarray(_univariate(values, config))
     if x.size < config.burn_in:
-        return _kernels.first_crossings(x[:0], thresholds)  # no frame alarms
+        return _kernels.first_crossings(x[:0], levels)  # no frame alarms
     head = x[: config.burn_in]
     mu0 = float(head.mean())
     sigma0 = float(head.std(ddof=1)) if head.size > 1 else 0.0
     if sigma0 == 0.0:
         sigma0 = _EPS  # degenerate-scale guard: any deviation alarms
     return _kernels.ewma_first_alarm(
-        x, config.ewma_lambda, thresholds, config.burn_in, mu0, sigma0
+        x, config.ewma_lambda, levels, config.burn_in, mu0, sigma0
     )
 
 
@@ -203,7 +214,7 @@ def _normal_cost(windows: np.ndarray) -> np.ndarray:
     return 0.5 * width * log_var.sum(axis=1)
 
 
-def _window_frames(values, config: DetectorConfig, thresholds):
+def _window_frames(values, config: DetectorConfig, levels):
     """Two-sample window scan: at each frame the trailing 2w frames are split
     in half and the cost gain of the split is the discrepancy statistic.
 
@@ -214,7 +225,7 @@ def _window_frames(values, config: DetectorConfig, thresholds):
     n = arr.shape[0]
     first_t = config.burn_in + 2 * w - 1
     if n <= first_t:
-        return _kernels.first_crossings(arr[:0, 0], thresholds)  # no frame alarms
+        return _kernels.first_crossings(arr[:0, 0], levels)  # no frame alarms
 
     cost = _l1_cost if config.kind == "window-l1" else _normal_cost
     joint = np.lib.stride_tricks.sliding_window_view(arr, 2 * w, axis=0)
@@ -228,7 +239,7 @@ def _window_frames(values, config: DetectorConfig, thresholds):
     # the gain is padded in front so that it is indexed by t.
     starts = np.arange(n - 2 * w + 1)
     gain = joint_cost - half_cost[starts] - half_cost[starts + w]
-    return _kernels.first_crossings(np.pad(gain, (2 * w - 1, 0)), thresholds, first_t)
+    return _kernels.first_crossings(np.pad(gain, (2 * w - 1, 0)), levels, first_t)
 
 
 _FRAMES = {
@@ -240,15 +251,19 @@ _FRAMES = {
 }
 
 
+def scan(values, config: DetectorConfig, levels) -> np.ndarray:
+    """First alarm frame at each of the 1-D ``levels`` (-1 for none), from one
+    statistic; each equals that of a run at its level alone, ties included."""
+    return _FRAMES[config.kind](values, config, levels)
+
+
 def alarm_frames(values, config: DetectorConfig, thresholds):
     """First alarm frame of the configured detector at each threshold, -1
     where it does not alarm: an int for a scalar threshold, an int array of
-    the thresholds' shape for an array (``config.threshold`` is not used).
-
-    The statistic is computed once for all thresholds, and each alarm equals
-    that of a run at its threshold alone, ties included.
-    """
-    return _FRAMES[config.kind](values, config, thresholds)
+    the thresholds' shape for an array (``config.threshold`` is not used)."""
+    shape = np.shape(thresholds)
+    frames = scan(values, config, detector_levels(config, thresholds))
+    return frames.reshape(shape) if shape else int(frames[0])
 
 
 def run_detector(values, config: DetectorConfig, seq_id: str = "") -> DetectionOutcome:

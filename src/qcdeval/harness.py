@@ -4,25 +4,25 @@ Ingests labeled datasets, sweeps detector thresholds, computes the five
 metrics with SEMs per threshold, and renders the results as CSV and as a
 hand-rolled SVG tradeoff plot.
 
-A sweep scans each sequence once: ``detectors.alarm_frames`` gives its first
-alarm at every threshold of the grid, collected into one (sequences x
-thresholds) table of frame indices. The labels become two float columns,
-lengths and changepoints, once per sweep; each threshold's column of the
-table becomes the alarm column tau (inf for no alarm), and
-``metrics.estimate`` computes every metric from the three columns. Sequences
-are never matched by id in a sweep: ``ingest`` rejects a repeated id.
+Every run of a detector over a dataset goes through ``alarm_columns``: the
+grid becomes detector levels once (``detectors.detector_levels``), each
+sequence is scanned once for all of them (``detectors.scan``), and the
+labels become two float columns, lengths and changepoints. The result is
+the (lengths, nu, tau) triple the metrics read, with tau a (sequences x
+thresholds) table of first alarms (inf for no alarm). ``sweep`` computes
+every metric at every threshold from it with ``metrics.estimate``, and the
+CLI's ``survival`` fits one column of it. Sequences are never matched by id:
+``ingest`` rejects a repeated id.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV. Sequences are scanned one after the other in dataset
-order; ``workers`` is accepted and has no effect. A detector that rejects a
-sequence (``ValueError``) fails the whole run, naming the sequence id: a
-crash is never counted as a censored run.
+order. A detector that rejects a sequence (``ValueError``) fails the whole
+run, naming the sequence id: a crash is never counted as a censored run.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectorConfig, alarm_frames
+from .detectors import DetectorConfig, detector_levels, scan
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
 from .metrics import INF, DetectionOutcome, SequenceMeta, estimate
@@ -43,6 +43,7 @@ __all__ = [
     "CurvePoint",
     "SweepResult",
     "ingest",
+    "alarm_columns",
     "sweep",
     "emit_curve",
     "write_manifest",
@@ -71,7 +72,6 @@ class SweepResult:
     thresholds: tuple
     points: list[CurvePoint]
     t_max: float  # largest possible run-length observation in the dataset
-    delta_t_max: float  # largest possible delay observation
 
 
 def _parse_record(obj: dict, line_no: int):
@@ -180,24 +180,15 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
 
 def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds):
     """First alarm frame of every sequence (rows, in dataset order) at every
-    threshold (the remaining axes), -1 for no alarm."""
-    rows = []
-    for meta, values in zip(dataset.metas, dataset.values):
+    threshold of the grid (columns), -1 for no alarm."""
+    levels = detector_levels(config, thresholds)
+    table = np.empty((len(dataset.metas), levels.size), dtype=np.int64)
+    for row, (meta, values) in enumerate(zip(dataset.metas, dataset.values)):
         try:
-            rows.append(alarm_frames(values, config, thresholds))
+            table[row] = scan(values, config, levels)
         except ValueError as exc:
             raise ValueError(f"sequence {meta.id!r}: {exc}") from exc
-    return np.array(rows, dtype=np.int64).reshape(len(rows), *np.shape(thresholds))
-
-
-def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
-    """Run the detector at ``config.threshold`` on every sequence, in dataset
-    order (``workers`` has no effect)."""
-    frames = _alarm_table(dataset, config, config.threshold)
-    return [
-        DetectionOutcome(id=m.id, tau=INF if t < 0 else float(t))
-        for m, t in zip(dataset.metas, frames)
-    ]
+    return table
 
 
 def _label_columns(dataset: LabeledDataset):
@@ -207,14 +198,35 @@ def _label_columns(dataset: LabeledDataset):
     return lengths, nu
 
 
+def alarm_columns(dataset: LabeledDataset, config: DetectorConfig, thresholds):
+    """The (lengths, nu, tau) columns of the detector on the dataset, in
+    dataset order: float lengths and changepoints (inf for no change), and a
+    (sequences x thresholds) float table of first alarms (inf for no alarm),
+    from one scan per sequence (``config.threshold`` is not used)."""
+    frames = _alarm_table(dataset, config, thresholds)
+    return (*_label_columns(dataset), np.where(frames < 0, INF, frames))
+
+
+# Not called by the program; kept because qcdbench's traced runs wrap it.
+def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
+    """Run the detector at ``config.threshold`` on every sequence, in dataset
+    order. ``workers`` has no effect; it stays because the acceptance tests
+    pass it."""
+    tau = alarm_columns(dataset, config, [config.threshold])[2][:, 0]
+    return [DetectionOutcome(m.id, t) for m, t in zip(dataset.metas, tau.tolist())]
+
+
+def _t_max(lengths, nu) -> float:
+    return float(np.max(np.minimum(nu, lengths), initial=0.0))
+
+
 def observation_bounds(dataset: LabeledDataset) -> tuple[float, float]:
     """Largest possible run-length and delay observations: max of min(nu, T)
     and max of T - nu over with-change sequences (T - inf never wins). These
     bound the horizons of the censoring-aware estimators; beyond them the
     curves extrapolate."""
     lengths, nu = _label_columns(dataset)
-    t_max = np.max(np.minimum(nu, lengths), initial=0.0)
-    return float(t_max), float(np.max(lengths - nu, initial=0.0))
+    return _t_max(lengths, nu), float(np.max(lengths - nu, initial=0.0))
 
 
 def sweep(
@@ -225,34 +237,24 @@ def sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Evaluate the requested metrics at every threshold of the grid, from one
-    detector pass per sequence (``config.threshold`` and ``workers`` are not
-    used)."""
+    detector pass per sequence (``config.threshold`` is not used).
+    ``workers`` has no effect; it stays because the acceptance tests pass
+    it."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
-    if any(math.isnan(t) for t in thresholds):
-        raise ValueError("threshold grid must not contain NaN")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be strictly increasing")
     metrics = tuple(metrics)
     if not metrics:
         raise ValueError("no metrics requested")
 
-    frames = _alarm_table(dataset, config, np.array(thresholds))
-    lengths, nu = _label_columns(dataset)
+    lengths, nu, taus = alarm_columns(dataset, config, thresholds)
     points = []
-    for thr, column in zip(thresholds, frames.T):
-        tau = np.where(column < 0, INF, column)
+    for thr, tau in zip(thresholds, taus.T):
         estimates = {name: estimate(name, lengths, nu, tau) for name in metrics}
         points.append(CurvePoint(threshold=thr, estimates=estimates))
-    t_max, delta_t_max = observation_bounds(dataset)
-    return SweepResult(
-        config=config,
-        thresholds=thresholds,
-        points=points,
-        t_max=t_max,
-        delta_t_max=delta_t_max,
-    )
+    return SweepResult(config, thresholds, points, t_max=_t_max(lengths, nu))
 
 
 def _fmt(x) -> str:
@@ -264,25 +266,17 @@ def emit_curve(result: SweepResult, out_path, fmt: str = "csv") -> None:
     tradeoff scatter (log-x ARL vs ADD, error bars, shaded region past the
     largest observable run length)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["threshold", "metric", "value", "sem", "n_used", "extrapolation_flag"]
-        )
-        for p in result.points:
-            for name, est in p.estimates.items():
-                writer.writerow(
-                    [
-                        repr(p.threshold),
-                        name,
-                        _fmt(est.value),
-                        _fmt(est.sem),
-                        est.n_used,
-                        int(est.extrapolation_flag),
-                    ]
-                )
         with open(out_path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(
+                ["threshold", "metric", "value", "sem", "n_used", "extrapolation_flag"]
+            )
+            writer.writerows(
+                [repr(p.threshold), name, _fmt(est.value), _fmt(est.sem), est.n_used,
+                 int(est.extrapolation_flag)]
+                for p in result.points
+                for name, est in p.estimates.items()
+            )
     elif fmt == "svg":
         with open(out_path, "w") as fh:
             fh.write(_render_svg(result))
@@ -379,8 +373,8 @@ def _render_svg(result: SweepResult) -> str:
 
 
 def write_manifest(path, *, command: str, config: dict, seed: int, dataset_hash=None):
-    """Persist a reproducibility manifest. Written before any result file so
-    a run that dies mid-way still records what it was doing."""
+    """Persist a reproducibility manifest. Every command writes it after its
+    result files, so a run that fails on its inputs leaves neither."""
     from . import __version__
 
     manifest = {

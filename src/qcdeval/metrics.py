@@ -4,10 +4,10 @@ Computes the censoring-aware estimators (KM-ARL, KM-ADD) next to the
 conventional selection-based baselines (LB-ARL, LB-ADD, Naive ARL). All five
 read the same per-sequence columns: length T, changepoint ``nu`` and first
 alarm ``tau``. ``estimate`` computes each as a masked array expression over
-them: the KM metrics censor and fit a product-limit curve, the baselines
-average a selection. The object-level functions (``compute_metric``,
-``km_arl``, ..., ``arl_samples``) match outcomes to sequences by id in one
-place, ``_columns``, and hand the columns to the same code.
+them: the KM metrics fit a product-limit curve to ``arl_columns`` or
+``add_columns``, the baselines average a selection. The object-level
+functions (``compute_metric``, ``km_arl``, ..., ``arl_samples``) match
+outcomes to sequences by id in one place, ``_columns``.
 
 Conventions: the changepoint ``nu`` and the detection point ``tau`` are frame
 indices, with ``math.inf`` meaning "no change" / "no alarm". A sequence
@@ -32,6 +32,8 @@ __all__ = [
     "DetectionOutcome",
     "MetricEstimate",
     "METRIC_NAMES",
+    "arl_columns",
+    "add_columns",
     "arl_samples",
     "add_samples",
     "km_arl",
@@ -131,7 +133,7 @@ def _columns(metas, outcomes):
     return lengths, nu, tau
 
 
-def _arl(lengths, nu, tau):
+def arl_columns(lengths, nu, tau):
     """Run-length samples: an event at tau when tau < min(nu, T), otherwise
     censored at min(nu, T)."""
     censor = np.minimum(nu, lengths)
@@ -139,7 +141,7 @@ def _arl(lengths, nu, tau):
     return np.where(events, tau, censor), events
 
 
-def _add(lengths, nu, tau):
+def add_columns(lengths, nu, tau):
     """Delay samples over sequences with a change and no alarm before it: an
     event at tau - nu for a finite alarm, otherwise censored at T - nu."""
     keep = (nu != INF) & ~(tau < nu)
@@ -193,9 +195,9 @@ def estimate(name: str, lengths, nu, tau, upper_limit=None) -> MetricEstimate:
     """
     lengths, nu, tau = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, tau))
     if name == "km-arl":
-        return _km(name, *_arl(lengths, nu, tau), upper_limit)
+        return _km(name, *arl_columns(lengths, nu, tau), upper_limit)
     if name == "km-add":
-        return _km(name, *_add(lengths, nu, tau), upper_limit)
+        return _km(name, *add_columns(lengths, nu, tau), upper_limit)
     if name not in METRIC_NAMES:
         raise ValueError(f"unknown metric: {name}")
     if upper_limit is not None:
@@ -220,7 +222,7 @@ def arl_samples(metas, outcomes) -> list[SurvivalSample]:
 
     Event at tau when tau < min(nu, T); otherwise censored at min(nu, T).
     """
-    return _samples(*_arl(*_columns(metas, outcomes)))
+    return _samples(*arl_columns(*_columns(metas, outcomes)))
 
 
 def add_samples(metas, outcomes) -> list[SurvivalSample]:
@@ -230,7 +232,7 @@ def add_samples(metas, outcomes) -> list[SurvivalSample]:
     eligible; a finite alarm contributes the delay tau - nu as an event,
     a missing alarm contributes T - nu as censored.
     """
-    return _samples(*_add(*_columns(metas, outcomes)))
+    return _samples(*add_columns(*_columns(metas, outcomes)))
 
 
 def km_arl(metas, outcomes, upper_limit=None) -> MetricEstimate:

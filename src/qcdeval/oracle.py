@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._kernels import TIE_SLACK
-from .detectors import DetectorConfig, LikelihoodModel
+from .detectors import DetectorConfig, LikelihoodModel, detector_levels
 from .metrics import MetricEstimate
 from .survival import rmst_km_batch
 
@@ -235,13 +235,12 @@ class MCEstimate:
 
 def _detector_state(config: DetectorConfig, n: int):
     """Initial statistics, one-frame update and alarm level of gsr/cusum."""
-    # Same exact-tie slack as the scan kernels.
+    # The scans' level of the threshold, with the same exact-tie slack.
+    thr = float(detector_levels(config, config.threshold)[0]) - TIE_SLACK
     if config.kind == "gsr":
         init = math.log(config.omega) if config.omega > 0 else -math.inf
-        thr = math.log(config.threshold) - TIE_SLACK if config.threshold > 0 else -math.inf
         return np.full(n, init), lambda st, llr: np.logaddexp(st, 0.0) + llr, thr
     if config.kind == "cusum":
-        thr = config.threshold - TIE_SLACK
         return np.zeros(n), lambda st, llr: np.maximum(st + llr, 0.0), thr
     raise ValueError(f"monte-carlo oracle supports gsr/cusum only, got {config.kind}")
 

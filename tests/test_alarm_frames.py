@@ -17,6 +17,7 @@ from qcdeval.detectors import (
     DetectorConfig,
     LikelihoodModel,
     alarm_frames,
+    detector_levels,
     run_detector,
 )
 from qcdeval.harness import run_all, sweep
@@ -205,3 +206,24 @@ def test_first_crossings_is_a_first_greater_or_equal():
                 want.append(int(idx[0]) + start if idx.size else -1)
             np.testing.assert_array_equal(first_crossings(stat, levels, start), want)
             assert first_crossings(stat, 0.0, start) == want[1]
+
+
+@pytest.mark.parametrize("cfg,scale", DETECTORS, ids=IDS)
+def test_nan_threshold_rejected(cfg, scale):
+    # A NaN level would alarm GSR at frame 0 and never alarm the others.
+    x = step_series(100, np.random.default_rng(0))
+    for grid in ([math.nan], [1.0, math.nan, scale], math.nan, [[scale], [math.nan]]):
+        with pytest.raises(ValueError, match="threshold grid must not contain NaN"):
+            alarm_frames(x, cfg, grid)
+
+
+@pytest.mark.parametrize("cfg,scale", DETECTORS, ids=IDS)
+def test_detector_levels(cfg, scale):
+    grid = [[-1.0, 0.0], [2.5, scale]]
+    levels = detector_levels(cfg, grid)
+    assert levels.dtype == np.float64 and levels.shape == (4,)
+    if cfg.kind == "gsr":
+        want = [-math.inf, -math.inf, math.log(2.5), math.log(scale)]
+    else:
+        want = [-1.0, 0.0, 2.5, scale]
+    assert levels.tolist() == want

@@ -301,19 +301,18 @@ class TestSubcommands:
         assert "line 2: non-finite value" in capsys.readouterr().err
 
     def test_worker_env_var_ignored(self, tmp_path, data_file, monkeypatch):
-        import qcdeval.cli
-
-        seen = []
-        run_all = qcdeval.cli.run_all
-        monkeypatch.setattr(
-            qcdeval.cli,
-            "run_all",
-            lambda ds, cfg, workers: seen.append(workers) or run_all(ds, cfg, workers),
-        )
+        out = tmp_path / "o.json"
+        assert self._evaluate_gsr(tmp_path, data_file) == 0
+        plain = out.read_bytes()
         monkeypatch.setenv("QCD_EVAL_WORKERS", "8")
         assert self._evaluate_gsr(tmp_path, data_file) == 0
-        assert self._evaluate_gsr(tmp_path, data_file, "--workers", "3") == 0
-        assert seen == [1, 3]
+        assert out.read_bytes() == plain
+
+    def test_workers_flag_removed_exit_2(self, tmp_path, data_file, capsys):
+        # --workers never had an effect: the sequences are scanned serially.
+        assert self._evaluate_gsr(tmp_path, data_file, "--workers", "3") == 2
+        assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["evaluate", "--bogus"]) == 2
@@ -679,3 +678,115 @@ class TestSpecAndOracleManifest:
         manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
         assert manifest["command"] == "oracle" and manifest["config"]["reps"] == 200
         assert json.loads(out.read_text())["n_reps"] == 200
+
+
+class TestOnePipeline:
+    """``evaluate`` and ``survival`` read the sweep's (lengths, nu, tau)
+    columns. Their outputs must equal the object-level route (``run_all``
+    outcomes matched by id, then ``compute_metric``, or ``arl_samples`` /
+    ``add_samples`` and ``fit_km``), and a failing run writes nothing."""
+
+    CONFIGS = {
+        "gsr": (["--detector", "gsr", "--model", "gaussian:0,0.1,0.1"], "20"),
+        "gsr-omega-zero": (
+            ["--detector", "gsr", "--model", "gaussian:0,0.1,0.1", "--omega", "2.5"],
+            "0",
+        ),
+        "cusum": (["--detector", "cusum", "--model", "gaussian:0,0.1,0.1"], "1"),
+        "ewma": (["--detector", "ewma", "--burn-in", "5"], "2"),
+        "window-l1": (["--detector", "window-l1", *TestNanThresholds.DETECTORS["window-l1"]], "1"),
+        "window-normal": (
+            ["--detector", "window-normal", *TestNanThresholds.DETECTORS["window-normal"]],
+            "4",
+        ),
+    }
+
+    @staticmethod
+    def _reference(data_file, argv, min_length):
+        from qcdeval.cli import _detector_config, build_parser
+        from qcdeval.harness import ingest, run_all
+
+        args = build_parser().parse_args(["survival", "--data", str(data_file),
+                                          "--out", "unused", *argv])
+        dataset = ingest(data_file, min_length=min_length)
+        return dataset, run_all(dataset, _detector_config(args))
+
+    @pytest.mark.parametrize("min_length", ["2", "1000"])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_outputs_equal_object_route(self, tmp_path, data_file, name, min_length):
+        from qcdeval.metrics import METRIC_NAMES, add_samples, arl_samples, compute_metric
+        from qcdeval.survival import fit_km
+
+        flags, threshold = self.CONFIGS[name]
+        argv = [*flags, "--threshold", threshold, "--min-length", min_length]
+        dataset, outcomes = self._reference(data_file, argv, int(min_length))
+        assert len(dataset) == (80 if min_length == "2" else 0)
+
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--data", str(data_file), *argv, "--out", str(out)]) == 0
+        want = {m: compute_metric(m, dataset.metas, outcomes).to_json() for m in METRIC_NAMES}
+        assert out.read_text() == json.dumps(want, indent=2) + "\n"
+
+        for kind, builder in (("arl", arl_samples), ("add", add_samples)):
+            out = tmp_path / f"{kind}.csv"
+            code = main(["survival", "--data", str(data_file), *argv, "--kind", kind,
+                         "--out", str(out)])
+            samples = builder(dataset.metas, outcomes)
+            if not samples:
+                assert code == 2 and not out.exists()
+                continue
+            assert code == 0
+            ref = tmp_path / f"{kind}.ref.csv"
+            fit_km(samples).to_csv(ref)
+            assert out.read_bytes() == ref.read_bytes()
+
+    BIVARIATE = (
+        '{"id": "a", "values": [0.0, 1.0, 0.0], "nu": null}\n'
+        '{"id": "biv", "values": [[0.1, 0.2], [0.1, 0.2]], "nu": null}\n'
+    )
+    GSR = ["--detector", "gsr", "--model", "gaussian:0,0.1,0.1"]
+    GRID = {
+        "evaluate": ["--threshold", "4"],
+        "curve": ["--thresholds", "4,40"],
+        "survival": ["--threshold", "4"],
+    }
+
+    @pytest.mark.parametrize("command", list(GRID))
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, command):
+        data = tmp_path / "d.jsonl"
+        data.write_text(self.BIVARIATE)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--data", str(data), *self.GSR, *self.GRID[command],
+                "--out", str(out / "o.out")]
+        if command == "curve":
+            argv += ["--svg", str(out / "o.svg")]
+        assert main(argv) == 2
+        assert "sequence 'biv'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_curve_nan_grid_writes_nothing(self, tmp_path, data_file, capsys):
+        out = tmp_path / "out" / "c.csv"
+        out.parent.mkdir()
+        argv = ["curve", "--data", str(data_file), *self.GSR,
+                "--thresholds", "1,nan,30", "--out", str(out)]
+        assert main(argv) == 2
+        assert "threshold grid must not contain NaN" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
+    def test_survival_without_samples_writes_nothing(self, tmp_path, data_file):
+        out = tmp_path / "out" / "s.csv"
+        out.parent.mkdir()
+        argv = ["survival", "--data", str(data_file), *self.GSR, "--threshold", "4",
+                "--min-length", "1000", "--out", str(out)]
+        assert main(argv) == 2
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(GRID))
+    def test_manifest_written_with_results(self, tmp_path, data_file, command):
+        out = tmp_path / "o.out"
+        argv = [command, "--data", str(data_file), *self.GSR, *self.GRID[command],
+                "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "o.out.manifest.json").read_text())
+        assert manifest["command"] == command and out.exists()

@@ -179,10 +179,10 @@ class TestSweep:
     def test_other_detector_errors_propagate(self, dataset, monkeypatch):
         import qcdeval.harness
 
-        def boom(values, config, thresholds):
+        def boom(values, config, levels):
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr(qcdeval.harness, "alarm_frames", boom)
+        monkeypatch.setattr(qcdeval.harness, "scan", boom)
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             sweep(dataset, self.cfg(), [5.0], ("km-arl",))
 

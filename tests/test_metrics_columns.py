@@ -307,3 +307,24 @@ def test_sweep_alarm_at_frame_zero_equals_per_threshold_runs():
         want = {m: compute_metric(m, ds.metas, outcomes) for m in METRIC_NAMES}
         assert point.estimates == want, thr
     assert {o.tau for o in run_all(ds, GSR.with_threshold(0.0))} == {0.0}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "survival"])
+def test_cli_builds_no_objects(monkeypatch, tmp_path, command):
+    from qcdeval.cli import main
+    from qcdeval.simulate import save_jsonl
+
+    data = tmp_path / "d.jsonl"
+    save_jsonl(small_dataset(), data)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{command} built per-sequence objects")
+
+    monkeypatch.setattr(qcdeval.metrics, "_columns", forbidden)
+    monkeypatch.setattr(qcdeval.metrics, "SurvivalSample", forbidden)
+    monkeypatch.setattr(qcdeval.harness, "DetectionOutcome", forbidden)
+    for extra in (["--kind", "arl"], ["--kind", "add"]) if command == "survival" else ([],):
+        argv = [command, "--data", str(data), "--detector", "gsr",
+                "--model", "gaussian:0,1,1", "--threshold", "50",
+                "--out", str(tmp_path / "o.out"), *extra]
+        assert main(argv) == 0
