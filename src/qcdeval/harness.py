@@ -68,8 +68,6 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: DetectorConfig
-    thresholds: tuple
     points: list[CurvePoint]
     t_max: float  # largest possible run-length observation in the dataset
 
@@ -254,7 +252,7 @@ def sweep(
     for thr, tau in zip(thresholds, taus.T):
         estimates = {name: estimate(name, lengths, nu, tau) for name in metrics}
         points.append(CurvePoint(threshold=thr, estimates=estimates))
-    return SweepResult(config, thresholds, points, t_max=_t_max(lengths, nu))
+    return SweepResult(points, t_max=_t_max(lengths, nu))
 
 
 def _fmt(x) -> str:

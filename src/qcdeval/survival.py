@@ -100,19 +100,29 @@ def _product_limit(times: np.ndarray, events: np.ndarray):
     Returns the sorted times and the (drop, at_risk, deaths, surv) arrays.
     """
     rows, n = times.shape
+    # Flat gathers: element j of row r is element r*n + j of the raveled array.
+    base = (np.arange(rows) * n)[:, None]
     order = np.argsort(times, axis=1)
-    t = np.take_along_axis(times, order, axis=1)
-    e = np.take_along_axis(events, order, axis=1)
+    order += base
+    t = times.ravel()[order]
+    e = events.ravel()[order]
+    del order
 
     new_time = np.ones((rows, n), dtype=bool)
     new_time[:, 1:] = t[:, 1:] != t[:, :-1]
     start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
     at_risk = n - start
-    seen = np.cumsum(e, axis=1)
-    deaths = seen - np.take_along_axis(seen - e, start, axis=1)
+    start += base
+    deaths = np.cumsum(e, axis=1)  # events up to each position, less
+    deaths -= (deaths - e).ravel()[start]  # those before its tie group
+    del start
     drop = deaths > 0
     drop[:, :-1] &= new_time[:, 1:]
-    surv = np.cumprod(np.where(drop, 1.0 - deaths / at_risk, 1.0), axis=1)
+    del new_time
+    surv = deaths / at_risk
+    np.subtract(1.0, surv, out=surv)
+    surv[~drop] = 1.0
+    np.cumprod(surv, axis=1, out=surv)
     return t, drop, at_risk, deaths, surv
 
 
@@ -214,19 +224,27 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     a = float(upper_limit)
-    t, drop, _, _, surv = _product_limit(times, events)
+    t, drop, at_risk, deaths, surv = _product_limit(times, events)
+    del at_risk, deaths
 
     # Rows with the same number k of drops below a share one (rows, k + 1)
     # interval table, so each row sums exactly the terms rmst sums.
-    keep = drop & (t < a)
-    counts = keep.sum(axis=1)
+    drop &= t < a
+    counts = drop.sum(axis=1)
+    # Stable-sorted by k, each group's rows are one contiguous block of the
+    # kept (drops, survs), rows in their own order.
+    by_count = np.argsort(counts, kind="stable")
+    counts, drop = counts[by_count], drop[by_count]
+    drops, survs = t[by_count][drop], surv[by_count][drop]
+    del t, drop, surv
+    block_first = np.cumsum(counts) - counts
+
     values = np.empty(times.shape[0])
-    for k in np.unique(counts):
-        sel = counts == k
-        mask = keep[sel]
-        shape = (mask.shape[0], k)
+    ks, group_first, group_rows = np.unique(counts, return_index=True, return_counts=True)
+    for k, r, m in zip(ks.tolist(), group_first.tolist(), group_rows.tolist()):
+        block = slice(block_first[r], block_first[r] + m * k)
         lefts, rights, s_vals = _steps(
-            t[sel][mask].reshape(shape), surv[sel][mask].reshape(shape), a
+            drops[block].reshape(m, k), survs[block].reshape(m, k), a
         )
-        values[sel] = np.sum(s_vals * (rights - lefts), axis=1)
+        values[by_count[r : r + m]] = np.sum(s_vals * (rights - lefts), axis=1)
     return values

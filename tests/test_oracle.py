@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames
 from qcdeval import oracle
@@ -174,6 +175,14 @@ class TestBoundQuadrature:
         assert (rep.lower, rep.upper, rep.mc_bias) == (0.0, 0.0, 0.0)
         assert rep.contained
 
+    def test_rule_is_cached_and_read_only(self):
+        x, w = oracle._gauss_legendre(64)
+        assert oracle._gauss_legendre(64)[0] is x
+        want_x, want_w = leggauss(64)
+        assert x.tolist() == want_x.tolist() and w.tolist() == want_w.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_n_below_one(self, quad_nodes, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -305,6 +314,14 @@ class TestTrueADD:
             GAUSS, cfg, ("geometric", 0.01), **kw
         )
 
+    @pytest.mark.parametrize("nu", [-5, -0.5, 2.5, math.inf, math.nan])
+    def test_fixed_law_rejects_nu_that_is_not_an_integer_from_zero(self, nu):
+        # A negative nu used to lengthen every delay by -nu, a fractional one
+        # to measure delays from a frame that does not exist.
+        cfg = DetectorConfig(kind="gsr", threshold=50.0, model=GAUSS)
+        with pytest.raises(ValueError, match="fixed changepoint law"):
+            true_add_mc(GAUSS, cfg, ("fixed", nu), n_reps=10, horizon_cap=100, seed=1)
+
 
 class RecordingGenerator:
     """A Generator that keeps a copy of every frame draw it hands out."""
@@ -401,6 +418,28 @@ class TestFirstAlarmLoop:
             x = streams[i, : cap if capped[i] else tau[i] + 1]
             assert not np.isnan(x).any()
             assert alarm_frames(x, cfg, threshold) == tau[i], i
+
+
+class TestGsrStep:
+    def step(self, s):
+        got = s.copy()
+        oracle._gsr_step(got, np.zeros_like(s))
+        return got
+
+    def test_equals_logaddexp_at_the_edges(self):
+        s = np.array([-math.inf, -1e308, -745.0, -1.0, 0.0, 1.0, 745.0, 1e308])
+        assert self.step(s).tolist() == np.logaddexp(s, 0.0).tolist()
+
+    def test_within_three_ulp_of_logaddexp(self):
+        # logaddexp(s, 0) is max(s, 0) + log1p(exp(-|s|)) through scalar libm
+        # calls. The vectorised exp and log1p are each within 1 ulp of libm:
+        # 1 ulp in exp(-|s|) moves log1p's result by under 2 ulp, and log1p
+        # adds its own 1 (seen: 2 ulp on 0.5% of N(0, 1) states, 3 on a few
+        # per million).
+        rng = np.random.default_rng(0)
+        s = np.concatenate([rng.normal(0.0, 1.0, 20_000), rng.normal(0.0, 30.0, 20_000),
+                            rng.normal(0.0, 800.0, 2000)])
+        np.testing.assert_array_max_ulp(self.step(s), np.logaddexp(s, 0.0), maxulp=3)
 
 
 class TestOrderingCheck:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcdeval.survival import (
     SurvivalSample,
     fit_km,
+    fit_km_arrays,
     max_last_observed,
     rmst,
     rmst_km_batch,
@@ -213,6 +214,24 @@ class TestBatchRMST:
             assert batch[i] == pytest.approx(
                 rmst(fit_km(samples), 3.0).value, abs=1e-12
             )
+
+    def test_bit_identical_to_rmst_for_every_drop_count(self):
+        # Rows with 0..n events, so every drop count 0..n occurs (n = 12:
+        # sums of up to 13 terms, past numpy's 8-way unrolled block), among
+        # them all-censored rows, rows of integer times with ties, and a = 0.
+        rng = np.random.default_rng(11)
+        n = 12
+        times, events = [], []
+        for k in range(n + 1):
+            hit = np.zeros(n, dtype=bool)
+            hit[rng.permutation(n)[:k]] = True
+            times += [rng.exponential(1.0, n), rng.integers(0, 4, n).astype(float)]
+            events += [hit, hit]
+        times, events = np.array(times), np.array(events)
+        for a in (0.0, 0.5, 1.0, 3.0, 100.0):
+            batch = rmst_km_batch(times, events, a)
+            single = [rmst(fit_km_arrays(t, e), a).value for t, e in zip(times, events)]
+            assert batch.tolist() == single, a
 
 
 class TestCSVExport:
