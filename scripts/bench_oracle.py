@@ -45,6 +45,8 @@ ADD = {"thresholds": (60.0, 100.0, 200.0, 400.0), "law": ("geometric", 0.001),
        "n_reps": 20_000, "horizon_cap": 60_000}
 BIAS = {"families": (("exp:1", "unif:0,2"), ("unif:0,1", "exp:1")),
         "n": (5, 20, 100), "a": (0.5, 1.0), "mc_reps": 10_000}
+SEEDS = (1, 2, 3, 4, 5)
+REPEATS = 2
 CELLS = [(fam, event, censor, n, a)
          for fam, (event, censor) in enumerate(BIAS["families"])
          for n in BIAS["n"] for a in BIAS["a"]]
@@ -56,12 +58,7 @@ def _parse_args(argv):
     p.add_argument("--src", type=Path, default=ROOT / "src",
                    help="directory holding the qcdeval package to time (default: ./src)")
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_oracle.json")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--repeats", type=int, default=2)
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be >= 1")
-    return args
+    return p.parse_args(argv)
 
 
 class Layers:
@@ -153,8 +150,8 @@ def measure(args) -> dict:
 
     op_s, digests = [], {}
     per_call = defaultdict(lambda: defaultdict(list))  # call -> metric -> runs
-    for seed in args.seeds:
-        for _ in range(args.repeats):
+    for seed in SEEDS:
+        for _ in range(REPEATS):
             layers.cpu_s.clear()
             t0 = time.process_time()
             result, calls = _op(seed, oracle, model, DetectorConfig, layers)
@@ -178,12 +175,12 @@ def measure(args) -> dict:
             rates = [d / s for d, s in zip(metrics["draws"], metrics["first_alarms_cpu_s"])]
             row["draws_per_first_alarms_cpu_s_p50"] = round(statistics.median(rates))
         rows.append(row)
-    quartiles = statistics.quantiles(op_s, n=4) if len(op_s) > 1 else [op_s[0]] * 3
+    quartiles = statistics.quantiles(op_s, n=4)
     return {
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine()},
-        "seeds": args.seeds,
-        "repeats": args.repeats,
+        "seeds": list(SEEDS),
+        "repeats": REPEATS,
         "outputs_sha256": digests,
         "warmup_op_cpu_s": round(warmup, 4),
         "op_cpu_s": {"p50": _p50(op_s), "q1": round(quartiles[0], 5),

@@ -286,9 +286,8 @@ def _llr_draw(model: LikelihoodModel, rng: np.random.Generator):
     the frames' log-likelihood ratios.
 
     A Gaussian llr c*x - k of the frame x = sd*z + mu is built straight from
-    the standard normal draw z as (c*sd)*z + (c*mu - k). Poisson llrs keep
-    ``model.llr``'s arithmetic on the drawn counts, which are integers by
-    construction, so its per-frame integer check is left out.
+    the standard normal draw z as (c*sd)*z + (c*mu - k). Poisson counts go
+    through ``model.llr``.
     """
     if model.kind == "gaussian":
         c = (model.mu1 - model.mu0) / model.var
@@ -303,13 +302,9 @@ def _llr_draw(model: LikelihoodModel, rng: np.random.Generator):
             return z
 
         return draw
-    log_ratio, shift = math.log(model.lam1 / model.lam0), model.lam1 - model.lam0
 
     def draw(post):
-        x = rng.poisson(np.where(post, model.lam1, model.lam0)).astype(np.float64)
-        x *= log_ratio
-        x -= shift
-        return x
+        return model.llr(rng.poisson(np.where(post, model.lam1, model.lam0)))
 
     return draw
 
