@@ -13,7 +13,11 @@ then one op per seed and repeat, and records medians of:
   CPU-s;
 * per bias-bound cell: CPU-s in ``survival._product_limit``,
   ``rmst_km_batch`` (which includes it) and the quadrature
-  (``oracle._bound_integrals``, every rule the cell built).
+  (``oracle._bound_integrals``, every rule the cell built), and the
+  ``tracemalloc`` peak of the cell from one separate untimed pass;
+* the process's peak RSS (``ru_maxrss``) after the timed ops, before that
+  traced pass. Memory is in MB of 2**20 bytes, as ``qcdbench`` reports
+  ``peak_rss_mb``.
 
 Every run stores a SHA-256 digest of each op's ``repr``. When the output file
 already holds runs, a new run must reproduce their digests bit for bit, or the
@@ -32,9 +36,11 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -108,13 +114,30 @@ def _op(seed, oracle, model, DetectorConfig, layers):
              n_reps=ADD["n_reps"], horizon_cap=ADD["horizon_cap"], seed=seed)
         for thr in ADD["thresholds"]
     ]
-    cells = [
-        call(f"bias_bounds {event} | {censor} n={n} a={a:g}", oracle.bias_bounds,
-             oracle.Dist.parse(event), oracle.Dist.parse(censor), n=n, a=a,
-             mc_reps=BIAS["mc_reps"], seed=2 * seed + fam)
-        for fam, event, censor, n, a in CELLS
-    ]
+    cells = [call(_cell_label(*cell), _cell, oracle, seed, *cell) for cell in CELLS]
     return (arl, adds, cells), calls
+
+
+def _cell_label(fam, event, censor, n, a):
+    return f"bias_bounds {event} | {censor} n={n} a={a:g}"
+
+
+def _cell(oracle, seed, fam, event, censor, n, a):
+    return oracle.bias_bounds(oracle.Dist.parse(event), oracle.Dist.parse(censor), n=n, a=a,
+                              mc_reps=BIAS["mc_reps"], seed=2 * seed + fam)
+
+
+def _traced_peaks_mb(oracle, seed) -> dict:
+    """The tracemalloc peak of each bias-bound cell, one cell at a time."""
+    peaks = {}
+    for cell in CELLS:
+        tracemalloc.start()
+        try:
+            _cell(oracle, seed, *cell)
+            peaks[_cell_label(*cell)] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def _p50(xs):
@@ -165,6 +188,9 @@ def measure(args) -> dict:
                     per_call[label][layer + "_cpu_s"].append(s)
                 if label in layers.draws:
                     per_call[label]["draws"].append(layers.draws[label])
+    # Read before the traced pass, whose bookkeeping would add to it.
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    traced_peaks = _traced_peaks_mb(oracle, SEEDS[0])
 
     rows = []
     for label, metrics in per_call.items():
@@ -174,6 +200,8 @@ def measure(args) -> dict:
         if "draws" in metrics:
             rates = [d / s for d, s in zip(metrics["draws"], metrics["first_alarms_cpu_s"])]
             row["draws_per_first_alarms_cpu_s_p50"] = round(statistics.median(rates))
+        if label in traced_peaks:
+            row["traced_peak_mb"] = round(traced_peaks[label], 2)
         rows.append(row)
     quartiles = statistics.quantiles(op_s, n=4)
     return {
@@ -185,6 +213,7 @@ def measure(args) -> dict:
         "warmup_op_cpu_s": round(warmup, 4),
         "op_cpu_s": {"p50": _p50(op_s), "q1": round(quartiles[0], 5),
                      "q3": round(quartiles[2], 5), "runs": [round(x, 4) for x in op_s]},
+        "maxrss_mb": round(maxrss_mb, 1),
         "calls": rows,
     }
 
@@ -201,7 +230,8 @@ def main(argv=None) -> int:
                 return 1
     runs[args.label] = run
     args.out.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
-    print(json.dumps({"label": args.label, "op_cpu_s": run["op_cpu_s"]}))
+    print(json.dumps({"label": args.label, "op_cpu_s": run["op_cpu_s"],
+                      "maxrss_mb": run["maxrss_mb"]}))
     return 0
 
 

@@ -30,7 +30,6 @@ from .survival import (
     StepSurvivalCurve,
     SurvivalSample,
     fit_km,
-    max_last_observed,
     rmst,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "RestrictedMean",
     "fit_km",
     "rmst",
-    "max_last_observed",
     "SequenceMeta",
     "DetectionOutcome",
     "MetricEstimate",

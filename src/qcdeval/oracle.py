@@ -213,8 +213,9 @@ def bias_bounds(
 
     ev = event.sample(rng, (mc_reps, n))
     ce = censor.sample(rng, (mc_reps, n))
-    times = np.minimum(ev, ce)
     observed = ev < ce
+    times = np.minimum(ev, ce, out=ev)  # ev's buffer becomes the observed times
+    del ce
     values = rmst_km_batch(times, observed, a)
     mc_bias = float(np.mean(values - event.restricted_mean(a)))
     ci = 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)

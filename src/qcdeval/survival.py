@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Samples per product-limit block in rmst_km_batch: about 3 MB of working
+# arrays (near 50 B per sample), whatever the number of replications.
+_BLOCK_SAMPLES = 2**16
+
 __all__ = [
     "SurvivalSample",
     "StepSurvivalCurve",
@@ -25,7 +29,6 @@ __all__ = [
     "fit_km",
     "fit_km_arrays",
     "rmst",
-    "max_last_observed",
     "rmst_km_batch",
 ]
 
@@ -89,30 +92,62 @@ class RestrictedMean:
     variance_clamped: bool = False
 
 
-def _product_limit(times: np.ndarray, events: np.ndarray):
-    """Product-limit fit of every row of (rows, n) time/event arrays.
+def _checked_samples(times, events, ndim: int):
+    """``times`` as float64 and ``events`` as bool, after checking that both
+    are ``ndim``-dimensional with one shape and every time is finite and >= 0
+    (the product-limit sort key below needs that)."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    if times.ndim != ndim or events.shape != times.shape:
+        raise ValueError(
+            f"times and events must be {ndim}-D arrays of one shape, "
+            f"got {times.shape} and {events.shape}"
+        )
+    if times.size == 0:
+        raise ValueError("no samples")
+    # Two reductions instead of a mask: a NaN fails both comparisons.
+    if not (times.min() >= 0 and math.isfinite(times.max())):
+        bad = ~(np.isfinite(times) & (times >= 0))
+        raise ValueError(f"invalid sample: time={float(times[bad][0])!r}")
+    return times, events
 
-    Rows are sorted by time; samples with equal times form a tie group. At
-    each sorted position ``at_risk`` counts the samples at or after its time,
-    so a censoring tied with an event is still at risk (events first), and
-    ``deaths`` counts the group's events up to it. The last position of a
-    group with events is a drop, and ``surv`` is the survival just after it.
-    Returns the sorted times and the (drop, at_risk, deaths, surv) arrays.
+
+def _checked_limit(upper_limit) -> float:
+    a = float(upper_limit)
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"invalid upper_limit: {upper_limit!r}")
+    return a
+
+
+def _product_limit(times: np.ndarray, events: np.ndarray):
+    """Product-limit fit of every row of checked (rows, n) time/event arrays.
+
+    Rows are sorted by time, events first among equal times; samples with
+    equal times form a tie group. At each sorted position ``at_risk`` counts
+    the samples at or after its time, so a censoring tied with an event is
+    still at risk, and ``deaths`` counts the group's events up to it. The
+    last position of a group with events is a drop, and ``surv`` is the
+    survival just after it. Returns the sorted times and the (drop, at_risk,
+    deaths, surv) arrays.
     """
     rows, n = times.shape
-    # Flat gathers: element j of row r is element r*n + j of the raveled array.
-    base = (np.arange(rows) * n)[:, None]
-    order = np.argsort(times, axis=1)
-    order += base
-    t = times.ravel()[order]
-    e = events.ravel()[order]
-    del order
+    # One sort key per sample: the bits of a non-negative float64 order as
+    # its value does (+ 0.0 turns -0.0 into 0.0, the sign bit is shifted
+    # out), and the low bit, 0 for an event, puts events first in a tie.
+    key = np.add(times, 0.0).view(np.uint64)
+    key <<= 1
+    key |= ~events
+    key.sort(axis=1)
+    t = (key >> 1).view(np.float64)
+    e = (key & 1) == 0
+    del key
 
     new_time = np.ones((rows, n), dtype=bool)
     new_time[:, 1:] = t[:, 1:] != t[:, :-1]
     start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
     at_risk = n - start
-    start += base
+    # Flat gather: element j of row r is element r*n + j of the raveled array.
+    start += (np.arange(rows) * n)[:, None]
     deaths = np.cumsum(e, axis=1)  # events up to each position, less
     deaths -= (deaths - e).ravel()[start]  # those before its tie group
     del start
@@ -148,15 +183,8 @@ def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> StepSurvivalCurve:
     counts every sample with time >= t_j (ties keep censored samples at risk,
     events first) and deaths count the events exactly at t_j.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if times.size == 0:
-        raise ValueError("no samples")
-    bad = ~(np.isfinite(times) & (times >= 0))
-    if bad.any():
-        raise ValueError(f"invalid sample: time={float(times[bad][0])!r}")
-    t, drop, at_risk, deaths, surv = (
-        a[0] for a in _product_limit(times[None], np.asarray(events, dtype=bool)[None])
-    )
+    times, events = _checked_samples(times, events, ndim=1)
+    t, drop, at_risk, deaths, surv = (a[0] for a in _product_limit(times[None], events[None]))
     return StepSurvivalCurve(
         drop_times=t[drop],
         survival_values=surv[drop],
@@ -179,9 +207,7 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
     variance = 2 * int_0^a t S(t) dt - value^2, clamped at 0 when floating
     rounding drives it slightly negative.
     """
-    if upper_limit < 0 or not math.isfinite(upper_limit):
-        raise ValueError(f"invalid upper_limit: {upper_limit!r}")
-    a = float(upper_limit)
+    a = _checked_limit(upper_limit)
 
     k = int(np.sum(curve.drop_times < a))
     lefts, rights, s_vals = _steps(
@@ -204,26 +230,29 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
     )
 
 
-def max_last_observed(samples: list[SurvivalSample]) -> float:
-    """Maximum observed time across samples (each sample's time is already
-    the minimum of its event and censoring times)."""
-    if not samples:
-        raise ValueError("no samples")
-    return max(s.time for s in samples)
-
-
 def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> np.ndarray:
     """Restricted means of product-limit fits for many replications at once.
 
     ``times`` and ``events`` are (reps, n) arrays; each row is one dataset.
     Row i is the same fit and the same step integral as
-    ``rmst(fit_km(row i), upper_limit).value``; used by the Monte-Carlo side
-    of the bias-bound verification, where fitting rows one at a time would
-    dominate the runtime.
+    ``rmst(fit_km_arrays(row i), upper_limit).value``; used by the Monte-Carlo
+    side of the bias-bound verification, where fitting rows one at a time
+    would dominate the runtime. Rows are fitted in blocks of about
+    ``_BLOCK_SAMPLES`` samples, so the working memory does not grow with reps.
     """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=bool)
-    a = float(upper_limit)
+    times, events = _checked_samples(times, events, ndim=2)
+    a = _checked_limit(upper_limit)
+    reps, n = times.shape
+    step = max(1, _BLOCK_SAMPLES // n)
+    values = np.empty(reps)
+    for first in range(0, reps, step):
+        rows = slice(first, first + step)
+        values[rows] = _rmst_rows(times[rows], events[rows], a)
+    return values
+
+
+def _rmst_rows(times: np.ndarray, events: np.ndarray, a: float) -> np.ndarray:
+    """``rmst_km_batch`` on one block of rows."""
     t, drop, at_risk, deaths, surv = _product_limit(times, events)
     del at_risk, deaths
 

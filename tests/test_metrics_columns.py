@@ -33,7 +33,7 @@ from qcdeval.metrics import (
     km_arl,
 )
 from qcdeval.simulate import SimSpec, simulate
-from qcdeval.survival import SurvivalSample, fit_km, max_last_observed, rmst
+from qcdeval.survival import SurvivalSample, fit_km, rmst
 
 
 def ref_pair(metas, outcomes):
@@ -96,7 +96,7 @@ def ref_km(name, samples, upper_limit):
     if not samples:
         return _undefined(name)
     curve = fit_km(samples)
-    a = max_last_observed(samples) if upper_limit is None else float(upper_limit)
+    a = max(s.time for s in samples) if upper_limit is None else float(upper_limit)
     rm = rmst(curve, a)
     flag = rm.extrapolated or (
         curve.survival_at(a) > 0.0 and abs(rm.value - a) <= 1e-12 * max(a, 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ class TestBiasBounds:
         a = bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0, seed=9)
         b = bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0, seed=9)
         assert a == b
+
+    def test_cell_peak_memory(self):
+        # One n=100, 10k-rep cell: the two draws and the observed flags, 17 B
+        # per sample, set the peak; the product-limit fit runs in fixed blocks.
+        tracemalloc.start()
+        try:
+            bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n=100, a=1.0,
+                        mc_reps=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, peak
 
 
 BREAKPOINT_PAIRS = [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qcdeval.survival import (
     SurvivalSample,
     fit_km,
     fit_km_arrays,
-    max_last_observed,
     rmst,
     rmst_km_batch,
 )
@@ -160,17 +160,6 @@ class TestRMST:
         assert curve3.drop_times.tolist() == [1.0]
 
 
-class TestMaxLastObserved:
-    def test_basic(self):
-        assert max_last_observed([S(3, True), S(5, False), S(6, True)]) == 6.0
-        assert max_last_observed([S(0, True)]) == 0.0
-        assert max_last_observed([S(2.5, True), S(2.5, False)]) == 2.5
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            max_last_observed([])
-
-
 class TestBatchRMST:
     def test_matches_single_fit(self):
         rng = np.random.default_rng(3)
@@ -232,6 +221,61 @@ class TestBatchRMST:
             batch = rmst_km_batch(times, events, a)
             single = [rmst(fit_km_arrays(t, e), a).value for t, e in zip(times, events)]
             assert batch.tolist() == single, a
+
+
+    def test_blocks_are_bit_identical_to_rmst(self):
+        # 3000 x 100 spans several blocks, and a 70000-sample row fills a
+        # block by itself. Integer times tie events with censorings, and
+        # -0.0 must fit as 0.0.
+        rng = np.random.default_rng(12)
+        ties = rng.integers(0, 20, (3000, 100)).astype(float)
+        ties[ties == 0.0] = -0.0
+        cases = [
+            (rng.exponential(1.0, (3000, 100)), 1.0),
+            (ties, 7.0),
+            (rng.integers(0, 500, (3, 70_000)).astype(float), 300.0),
+        ]
+        for times, a in cases:
+            events = rng.random(times.shape) < 0.6
+            batch = rmst_km_batch(times, events, a)
+            single = [rmst(fit_km_arrays(t, e), a).value for t, e in zip(times, events)]
+            assert batch.tobytes() == np.array(single).tobytes()
+        assert np.signbit(ties).any()
+        signed = fit_km_arrays([-0.0, 1.0, -0.0], [True, True, False])
+        unsigned = fit_km_arrays([0.0, 1.0, 0.0], [True, True, False])
+        assert signed.drop_times.tobytes() == unsigned.drop_times.tobytes()
+        assert signed.survival_values.tolist() == unsigned.survival_values.tolist()
+
+    @pytest.mark.parametrize(
+        "times, events, a, match",
+        [
+            ([[0.5, math.nan, 1.0], [-1.0, 0.5, 2.0]], [[1, 1, 1], [1, 1, 0]], 1.5,
+             "invalid sample: time=nan"),
+            ([[0.5, 0.7], [-1.0, 0.5]], [[1, 1], [1, 0]], 1.5, "invalid sample: time=-1.0"),
+            ([[0.5, 0.7]], [[1, 1]], -1.0, "invalid upper_limit: -1.0"),
+            ([[0.5, 0.7]], [[1, 1]], math.nan, "invalid upper_limit: nan"),
+            ([0.5, 0.7], [1, 1], 1.0, "2-D arrays of one shape"),
+            ([[0.5, 0.7]], [[1, 1, 0]], 1.0, "2-D arrays of one shape"),
+            (np.empty((2, 0)), np.empty((2, 0)), 1.0, "no samples"),
+        ],
+    )
+    def test_rejects_what_fit_km_arrays_and_rmst_reject(self, times, events, a, match):
+        with pytest.raises(ValueError, match=match):
+            rmst_km_batch(times, events, a)
+
+    def test_traced_peak_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(13)
+        peaks = []
+        for reps in (2000, 20_000):
+            times = rng.exponential(1.0, (reps, 100))
+            events = rng.random((reps, 100)) < 0.5
+            tracemalloc.start()
+            try:
+                rmst_km_batch(times, events, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestCSVExport:
