@@ -8,7 +8,9 @@ changepoint (GSR, N(0, 0.1) -> N(0.1, 0.1), 20k replications each), and the
 twelve ``bias_bounds`` cells. The script runs one untimed op to fill caches,
 then one op per seed and repeat, and records medians of:
 
-* end to end: CPU-s per op and per oracle call;
+* end to end: CPU-s per op and per oracle call, and the minor page faults
+  (``ru_minflt``) each call takes, which show allocator churn such as a heap
+  trimmed and grown again block after block;
 * ``oracle._first_alarms``: CPU-s and frames drawn per call, and draws per
   CPU-s;
 * per bias-bound cell: CPU-s in ``survival._product_limit``,
@@ -94,15 +96,21 @@ class Layers:
         setattr(module, name, timed)
 
 
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _op(seed, oracle, model, DetectorConfig, layers):
-    """The batch at one seed: its result and each call's CPU-s."""
+    """The batch at one seed: its result and each call's CPU-s and minor
+    page faults."""
     calls = {}
 
     def call(label, fn, *args, **kwargs):
         layers.call = label
+        faults = _minflt()
         t0 = time.process_time()
         result = fn(*args, **kwargs)
-        calls[label] = time.process_time() - t0
+        calls[label] = time.process_time() - t0, _minflt() - faults
         return result
 
     arl = call(f"true_arl_mc h={ARL['threshold']:g}", oracle.true_arl_mc, model,
@@ -182,8 +190,9 @@ def measure(args) -> dict:
             digest = hashlib.sha256(repr(result).encode()).hexdigest()
             if digests.setdefault(str(seed), digest) != digest:
                 raise SystemExit(f"seed {seed}: two runs of one op gave different outputs")
-            for label, cpu in calls.items():
+            for label, (cpu, faults) in calls.items():
                 per_call[label]["cpu_s"].append(cpu)
+                per_call[label]["minflt"].append(faults)
                 for layer, s in layers.cpu_s[label].items():
                     per_call[label][layer + "_cpu_s"].append(s)
                 if label in layers.draws:
@@ -196,7 +205,8 @@ def measure(args) -> dict:
     for label, metrics in per_call.items():
         row = {"call": label}
         for name, runs in metrics.items():
-            row[name + "_p50"] = _p50(runs) if name != "draws" else statistics.median(runs)
+            counted = name in ("draws", "minflt")
+            row[name + "_p50"] = statistics.median(runs) if counted else _p50(runs)
         if "draws" in metrics:
             rates = [d / s for d, s in zip(metrics["draws"], metrics["first_alarms_cpu_s"])]
             row["draws_per_first_alarms_cpu_s_p50"] = round(statistics.median(rates))

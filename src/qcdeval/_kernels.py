@@ -1,11 +1,12 @@
 """First-alarm scan kernels.
 
-Each function takes a scalar threshold or an array of thresholds and returns
-the first frame index at which the detector statistic reaches each of them,
-or -1 where no alarm is raised within the sequence: an int for a scalar, an
-int array of the thresholds' shape for an array. The statistic is computed
-once per call, whatever the number of thresholds, and ``first_crossings``
-reads every threshold's first alarm off its running maximum.
+Each function takes a 1-D array of levels and returns, as an int array of
+the same length, the first frame index at which the detector statistic
+reaches each of them, or -1 where no alarm is raised within the sequence
+(``detectors.alarm_frames`` maps scalar and shaped threshold grids onto
+this). The statistic is computed once per call, whatever the number of
+levels, and ``first_crossings`` reads every level's first alarm off its
+running maximum.
 
 GSR and CUSUM compute their statistics from prefix sums, one block of BLOCK
 frames at a time. Each block restarts its sums at zero and carries the
@@ -30,16 +31,15 @@ TIE_SLACK = 1e-12
 
 
 def first_crossings(stat, levels, start=0):
-    """First index i >= start with stat[i] >= level, for each level (-1 where
-    there is none): a binary search of the running maximum of stat[start:].
-    A scalar level gives an int, an array of levels an int array."""
+    """First index i >= start with stat[i] >= level, for each of the 1-D
+    ``levels`` (-1 where there is none): a binary search of the running
+    maximum of stat[start:]."""
     # A NaN statistic (inf - inf from frames near the float64 limit) reaches
     # no level above -inf, as under a per-threshold >= comparison.
     stat = stat[start:]
     run_max = np.maximum.accumulate(np.where(np.isnan(stat), -np.inf, stat))
     first = np.searchsorted(run_max, levels)
-    first = np.where(first < run_max.size, first + start, -1)
-    return int(first) if first.ndim == 0 else first
+    return np.where(first < run_max.size, first + start, -1)
 
 
 def _blocked_first_alarm(llr, levels, carry, block_stat):
@@ -102,7 +102,5 @@ def ewma_first_alarm(x, lam, threshold, burn_in, mu0, sigma0):
         lam / (2.0 - lam) * (1.0 - (1.0 - lam) ** (2.0 * (t + 1.0)))
     )
     dev = np.abs(d)
-    first = [first_crossings(dev >= h * width, True, burn_in) for h in levels.flat]
-    if levels.ndim == 0:
-        return first[0]
-    return np.array(first, dtype=np.int64).reshape(levels.shape)
+    first = [first_crossings(dev >= h * width, [True], burn_in)[0] for h in levels]
+    return np.array(first, dtype=np.int64)

@@ -9,7 +9,9 @@ Three routes live here:
   integrals for restricted means under random censoring (``bias_bounds``),
   split at the censoring law's breakpoints, together with a
   Monte-Carlo bias measurement of the estimator under test
-  (``rmst_km_batch``) that must fall inside the bounds.
+  (``rmst_km_batch``) that must fall inside the bounds. A cell holds its
+  event draw, 8 B per sample, plus one block of censoring draws, flags and
+  product-limit work arrays.
 * An empirical check of the truncation-bias ordering between the
   censoring-aware and the selection-based estimators
   (``truncation_ordering_check``).
@@ -18,6 +20,7 @@ Three routes live here:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from ._kernels import TIE_SLACK
 from .detectors import DetectorConfig, LikelihoodModel, detector_levels
 from .metrics import MetricEstimate
-from .survival import rmst_km_batch
+from .survival import _BLOCK_SAMPLES, rmst_km_batch
 
 __all__ = [
     "Dist",
@@ -45,24 +48,37 @@ class Dist:
     """Distribution on the non-negative reals for the bias-bound machinery.
 
     Families: ("exp", rate), ("unif", lo, hi), ("empirical", times, probs).
+    A parameter that is not finite or out of its range raises ValueError.
     """
 
     def __init__(self, kind, *params):
         self.kind = kind
         if kind == "exp":
             (self.rate,) = params
-            if self.rate <= 0:
-                raise ValueError("exp rate must be > 0")
+            if not (0 < self.rate < math.inf):
+                raise ValueError(f"exp rate must be finite and > 0, got {self.rate!r}")
         elif kind == "unif":
             self.lo, self.hi = params
-            if not 0 <= self.lo < self.hi:
-                raise ValueError("unif needs 0 <= lo < hi")
+            if not (0 <= self.lo < self.hi < math.inf):
+                raise ValueError(
+                    f"unif needs finite 0 <= lo < hi, got {self.lo!r}, {self.hi!r}"
+                )
         elif kind == "empirical":
             times, probs = params
             self.times = np.asarray(times, dtype=np.float64)
             self.probs = np.asarray(probs, dtype=np.float64)
-            if np.any(self.times < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
-                raise ValueError("empirical table needs times >= 0, probs summing to 1")
+            if not (
+                self.times.ndim == 1
+                and self.times.size
+                and self.probs.shape == self.times.shape
+                and np.all((self.times >= 0) & (self.times < math.inf))
+                and np.all((self.probs >= 0) & (self.probs < math.inf))
+                and abs(self.probs.sum() - 1.0) <= 1e-9
+            ):
+                raise ValueError(
+                    "empirical table needs 1-D times and probs of one length, "
+                    "finite times >= 0 and finite probs >= 0 summing to 1"
+                )
         else:
             raise ValueError(f"unknown family: {kind}")
 
@@ -193,7 +209,17 @@ def bias_bounds(
     consecutive values agree to 1e-8 relative, failing before a rule would
     pass 4096 nodes; the Monte-Carlo bias must lie inside the bounds inflated
     by its own 3-sigma confidence halfwidth.
+
+    The event times of all ``mc_reps`` replications are drawn at once, 8 B
+    per sample, and then censored and fitted in row blocks of about
+    ``survival._BLOCK_SAMPLES`` samples, each with its own censoring draw:
+    the censoring draws, the observed flags and the fit's work arrays take
+    one block's memory, whatever ``mc_reps``. The rows of a C-order draw are
+    consecutive pieces of the generator's stream, so the blocked draws equal
+    one ``(mc_reps, n)`` draw bit for bit.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (math.isfinite(a) and a >= 0):
@@ -211,12 +237,17 @@ def bias_bounds(
         if abs(lower - last[0]) + abs(upper - last[1]) < 1e-8 * scale:
             break
 
-    ev = event.sample(rng, (mc_reps, n))
-    ce = censor.sample(rng, (mc_reps, n))
-    observed = ev < ce
-    times = np.minimum(ev, ce, out=ev)  # ev's buffer becomes the observed times
-    del ce
-    values = rmst_km_batch(times, observed, a)
+    times = event.sample(rng, (mc_reps, n))
+    values = np.empty(mc_reps)
+    step = max(1, _BLOCK_SAMPLES // n)
+    for first in range(0, mc_reps, step):
+        rows = slice(first, first + step)
+        block = times[rows]  # a view: censored in place
+        ce = censor.sample(rng, block.shape)
+        observed = block < ce
+        np.minimum(block, ce, out=block)
+        del ce  # freed before the fit's work arrays are made
+        values[rows] = rmst_km_batch(block, observed, a)
     mc_bias = float(np.mean(values - event.restricted_mean(a)))
     ci = 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)
     contained = (lower - ci) <= mc_bias <= (upper + ci)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Samples per product-limit block in rmst_km_batch: about 3 MB of working
-# arrays (near 50 B per sample), whatever the number of replications.
+# Samples per product-limit block in rmst_km_batch, and per censoring block
+# in oracle.bias_bounds: about 3 MB of working arrays (near 50 B per sample),
+# whatever the number of replications.
 _BLOCK_SAMPLES = 2**16
 
 __all__ = [
@@ -238,7 +239,10 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     ``rmst(fit_km_arrays(row i), upper_limit).value``; used by the Monte-Carlo
     side of the bias-bound verification, where fitting rows one at a time
     would dominate the runtime. Rows are fitted in blocks of about
-    ``_BLOCK_SAMPLES`` samples, so the working memory does not grow with reps.
+    ``_BLOCK_SAMPLES`` samples, so the working memory does not grow with reps:
+    beyond the inputs and the output, one block's. ``bias_bounds`` passes one
+    such block per call, so a bias-bound cell holds 8 B per sample for its
+    event draw plus one block.
     """
     times, events = _checked_samples(times, events, ndim=2)
     a = _checked_limit(upper_limit)

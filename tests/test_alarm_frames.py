@@ -205,7 +205,7 @@ def test_first_crossings_is_a_first_greater_or_equal():
                 idx = np.flatnonzero(stat[start:] >= level)
                 want.append(int(idx[0]) + start if idx.size else -1)
             np.testing.assert_array_equal(first_crossings(stat, levels, start), want)
-            assert first_crossings(stat, 0.0, start) == want[1]
+            assert first_crossings(stat, [0.0], start).tolist() == [want[1]]
 
 
 @pytest.mark.parametrize("cfg,scale", DETECTORS, ids=IDS)

@@ -521,6 +521,13 @@ class TestBoundsExitCodes:
         captured = capsys.readouterr()
         assert "n must be >= 1" in captured.err and "VIOLATED" not in captured.out
 
+    @pytest.mark.parametrize(
+        "family", ["exp:nan,unif:0,2", "exp:inf,unif:0,2", "exp:1,unif:0,inf"]
+    )
+    def test_non_finite_family_parameter_exit_2(self, capsys, family):
+        assert self._verify(family, "5", "1") == 2
+        assert f"bad family pair {family!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_horizon_exit_2(self, quad_nodes, capsys, a):
         assert self._verify("exp:1,unif:0,2", "5", a) == 2

@@ -104,14 +104,14 @@ def test_exact_tie_at_late_maximum(kind, model, n):
     peak = float(path.max())
     want = first_at_or_above(path, peak)
     assert want >= n - 40
-    assert run(peak) == want
-    assert run(peak + 1.0) == -1
+    assert run([peak]).tolist() == [want]
+    assert run([peak + 1.0]).tolist() == [-1]
 
 
 def test_cusum_tie_needs_slack():
     # Recursion: 0.7 + 0.2 = 0.8999999999999999, one ulp below 0.9.
     assert cusum_path([-0.1, 0.7, 0.2])[2] < 0.9
-    assert _kernels.cusum_first_alarm([-0.1, 0.7, 0.2], 0.9) == 2
+    assert _kernels.cusum_first_alarm([-0.1, 0.7, 0.2], [0.9]).tolist() == [2]
 
 
 def test_random_thresholds_match_reference():
@@ -121,13 +121,13 @@ def test_random_thresholds_match_reference():
         llr = rng.normal(0.0, 1.0, n)
         omega = float(rng.choice([0.0, 0.5, 5.0]))
         log_thr = float(rng.uniform(-1.0, 6.0))
-        assert _kernels.gsr_first_alarm(llr, log_thr, omega) == first_at_or_above(
-            gsr_path(llr, omega), log_thr
-        )
+        assert _kernels.gsr_first_alarm(llr, [log_thr], omega).tolist() == [
+            first_at_or_above(gsr_path(llr, omega), log_thr)
+        ]
         thr = float(rng.uniform(0.0, 6.0))
-        assert _kernels.cusum_first_alarm(llr, thr) == first_at_or_above(
-            cusum_path(llr), thr
-        )
+        assert _kernels.cusum_first_alarm(llr, [thr]).tolist() == [
+            first_at_or_above(cusum_path(llr), thr)
+        ]
 
 
 def test_ewma_matches_reference():
@@ -141,15 +141,15 @@ def test_ewma_matches_reference():
         mu0 = float(x[:burn_in].mean())
         s0 = float(x[:burn_in].std(ddof=1)) if burn_in > 1 else 0.0
         s0 = s0 or np.finfo(float).eps
-        assert _kernels.ewma_first_alarm(
-            x, lam, thr, burn_in, mu0, s0
-        ) == ewma_reference(x, lam, thr, burn_in, mu0, s0)
+        assert _kernels.ewma_first_alarm(x, lam, [thr], burn_in, mu0, s0).tolist() == [
+            ewma_reference(x, lam, thr, burn_in, mu0, s0)
+        ]
 
 
 def test_empty_sequences_never_alarm():
-    assert _kernels.gsr_first_alarm(np.empty(0), -math.inf, 1.0) == -1
-    assert _kernels.cusum_first_alarm(np.empty(0), 0.0) == -1
-    assert _kernels.ewma_first_alarm(np.empty(0), 0.2, 1.0, 1, 0.0, 1.0) == -1
+    assert _kernels.gsr_first_alarm(np.empty(0), [-math.inf], 1.0).tolist() == [-1]
+    assert _kernels.cusum_first_alarm(np.empty(0), [0.0]).tolist() == [-1]
+    assert _kernels.ewma_first_alarm(np.empty(0), 0.2, [1.0], 1, 0.0, 1.0).tolist() == [-1]
 
 
 def test_causal_across_block_edges():
@@ -172,10 +172,10 @@ def test_causal_across_block_edges():
         # Thresholds at the reference statistics' values at random frames,
         # so alarms fall on both sides of the cuts.
         for t in rng.integers(0, n, 4):
-            full_g = _kernels.gsr_first_alarm(llr, gsr[t], 0.0)
-            full_c = _kernels.cusum_first_alarm(llr, cusum[t])
+            (full_g,) = _kernels.gsr_first_alarm(llr, [gsr[t]], 0.0)
+            (full_c,) = _kernels.cusum_first_alarm(llr, [cusum[t]])
             for k in cuts:
-                g = _kernels.gsr_first_alarm(llr[:k], gsr[t], 0.0)
-                c = _kernels.cusum_first_alarm(llr[:k], cusum[t])
+                (g,) = _kernels.gsr_first_alarm(llr[:k], [gsr[t]], 0.0)
+                (c,) = _kernels.cusum_first_alarm(llr[:k], [cusum[t]])
                 assert g == (full_g if full_g < k else -1)
                 assert c == (full_c if full_c < k else -1)

@@ -17,9 +17,13 @@ from qcdeval.oracle import (
     true_arl_mc,
     truncation_ordering_check,
 )
+from qcdeval.survival import rmst_km_batch
 
 GAUSS = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1)
 POISSON = LikelihoodModel(kind="poisson", lam0=1.0, lam1=2.0)
+EXP, UNIF = Dist("exp", 1.0), Dist("unif", 0.0, 2.0)
+EVENT_TABLE = Dist("empirical", [0.3, 0.8, 1.5, 2.0], [0.25, 0.25, 0.3, 0.2])
+CENSOR_TABLE = Dist("empirical", [3.0, 0.5, 1.0, 1.0], [0.4, 0.2, 0.3, 0.1])
 
 
 def mean_sem(taus):
@@ -50,6 +54,25 @@ class TestDist:
         assert Dist.parse("unif:0,2").hi == 2.0
         with pytest.raises(ValueError):
             Dist.parse("weibull:1")
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("exp", (math.nan,)),
+            ("exp", (math.inf,)),
+            ("unif", (0.0, math.inf)),
+            ("empirical", ([1.0], [math.nan])),
+            ("empirical", ([math.nan, 1.0], [0.5, 0.5])),
+            ("empirical", ([math.inf, 1.0], [0.5, 0.5])),
+            ("empirical", ([1.0, 2.0, 3.0], [0.5, -0.5, 1.0])),
+            ("empirical", ([1.0, 2.0], [1.0])),
+        ],
+        ids=["exp-nan", "exp-inf", "unif-inf", "emp-nan-prob", "emp-nan-time",
+             "emp-inf-time", "emp-negative-prob", "emp-lengths"],
+    )
+    def test_rejects_non_finite_or_out_of_range_parameters(self, kind, params):
+        with pytest.raises(ValueError):
+            Dist(kind, *params)
 
     def test_sampling_matches_cdf(self):
         rng = np.random.default_rng(0)
@@ -90,8 +113,8 @@ class TestBiasBounds:
         assert a == b
 
     def test_cell_peak_memory(self):
-        # One n=100, 10k-rep cell: the two draws and the observed flags, 17 B
-        # per sample, set the peak; the product-limit fit runs in fixed blocks.
+        # One n=100, 10k-rep cell: the event draw, 8 B per sample, plus one
+        # block of censoring draws, flags and product-limit work arrays.
         tracemalloc.start()
         try:
             bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n=100, a=1.0,
@@ -100,6 +123,50 @@ class TestBiasBounds:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20, peak
+
+    def test_peak_grows_by_the_event_draw_alone(self):
+        # From 10k to 40k reps at n=100 only the event draw (8 B per sample)
+        # and the restricted means (8 B per rep) grow. Drawing the censoring
+        # times and flags for every rep at once would add 9 B per sample.
+        peaks = []
+        for reps in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                bias_bounds(EXP, UNIF, n=100, a=1.0, mc_reps=reps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_sample = (peaks[1] - peaks[0]) / (30_000 * 100)
+        assert per_sample <= 8.8, per_sample
+
+    @pytest.mark.parametrize(
+        "event,censor,n,mc_reps",
+        [
+            (EXP, UNIF, 100, 2000),  # 655-row blocks, the last one short
+            (Dist("unif", 0.0, 1.0), EXP, 7, 12_345),
+            (EXP, UNIF, 20, 2),
+            (EVENT_TABLE, CENSOR_TABLE, 5, 30_000),
+            (EVENT_TABLE, UNIF, 70_000, 3),  # one row per block
+        ],
+        ids=["exp-unif-100", "unif-exp-7", "two-reps", "tables", "n-past-block"],
+    )
+    def test_blocked_draws_are_bit_identical_to_one_draw(self, event, censor, n, mc_reps):
+        rep = bias_bounds(event, censor, n=n, a=1.0, mc_reps=mc_reps, seed=7)
+        assert (rep.mc_bias, rep.mc_ci_halfwidth) == one_draw_mc_bias(
+            event, censor, n, 1.0, mc_reps, seed=7
+        )
+
+
+def one_draw_mc_bias(event, censor, n, a, mc_reps, seed):
+    """The Monte-Carlo side of bias_bounds from one event draw and one
+    censoring draw of every replication, fitted in one rmst_km_batch call:
+    (mc_bias, mc_ci_halfwidth)."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    ev = event.sample(rng, (mc_reps, n))
+    ce = censor.sample(rng, (mc_reps, n))
+    values = rmst_km_batch(np.minimum(ev, ce), ev < ce, a)
+    mc_bias = float(np.mean(values - event.restricted_mean(a)))
+    return mc_bias, 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)
 
 
 BREAKPOINT_PAIRS = [
@@ -200,6 +267,11 @@ class TestBoundQuadrature:
     def test_rejects_n_below_one(self, quad_nodes, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
             bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, 5.0])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n, 1.0, mc_reps=2)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
     def test_rejects_non_finite_or_negative_horizon(self, quad_nodes, a):
