@@ -36,11 +36,6 @@ from .metrics import INF, DetectionOutcome
 __all__ = [
     "LikelihoodModel",
     "DetectorConfig",
-    "llr_step",
-    "run_gsr",
-    "run_cusum",
-    "run_ewma",
-    "run_window",
     "run_detector",
     "detector_levels",
     "scan",
@@ -88,11 +83,6 @@ class LikelihoodModel:
         if np.any(x < 0) or np.any(x != np.floor(x)):
             raise ValueError("poisson model requires non-negative integer frames")
         return x * math.log(self.lam1 / self.lam0) - (self.lam1 - self.lam0)
-
-
-def llr_step(model: LikelihoodModel, x: float) -> float:
-    """Log-likelihood ratio of a single frame."""
-    return float(model.llr(x))
 
 
 @dataclass(frozen=True)
@@ -270,8 +260,3 @@ def run_detector(values, config: DetectorConfig, seq_id: str = "") -> DetectionO
     """First alarm at ``config.threshold`` (tau = inf for no alarm)."""
     t = alarm_frames(values, config, config.threshold)
     return DetectionOutcome(id=seq_id, tau=INF if t < 0 else float(t))
-
-
-# The per-detector entry points are the same one-threshold run; each
-# dispatches on ``config.kind``.
-run_gsr = run_cusum = run_ewma = run_window = run_detector

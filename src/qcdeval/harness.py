@@ -14,6 +14,11 @@ every metric at every threshold from it with ``metrics.estimate``, and the
 CLI's ``survival`` fits one column of it. Sequences are never matched by id:
 ``ingest`` rejects a repeated id.
 
+``ingest`` parses a regular data file once: it caches the parsed records in
+a sidecar ``.<name>.qcdeval-cache.npz`` beside the file, keyed by the SHA-256
+of the file's bytes, and reads them from there while the bytes match. The
+sidecar never changes a result, a count or a manifest.
+
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV. Sequences are scanned one after the other in dataset
 order. A detector that rejects a sequence (``ValueError``) fails the whole
@@ -22,10 +27,17 @@ run, naming the sequence id: a crash is never counted as a censored run.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import logging
 import math
+import os
+import stat
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,33 +110,156 @@ def _checked(seq_id: str, values: np.ndarray, nu, line_no: int):
     return line_no, seq_id, values, nu
 
 
-def _iter_jsonl(path):
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed record at line {line_no}: {exc}") from None
-            yield _parse_record(obj, line_no)
+def _iter_jsonl(fh):
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed record at line {line_no}: {exc}") from None
+        yield _parse_record(obj, line_no)
 
 
-def _iter_csv(path):
+def _iter_csv(fh):
     """CSV layout: one sequence per row, ``id,nu,v0,v1,...`` with an empty
     nu field meaning no change."""
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"malformed record at line {line_no}: too few fields")
-            try:
-                nu = None if row[1] == "" else float(row[1])
-                values = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"malformed record at line {line_no}: {exc}") from None
-            yield _checked(row[0], values, nu, line_no)
+    for line_no, row in enumerate(csv.reader(fh), start=1):
+        if not row:
+            continue
+        if len(row) < 3:
+            raise ValueError(f"malformed record at line {line_no}: too few fields")
+        try:
+            nu = None if row[1] == "" else float(row[1])
+            values = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"malformed record at line {line_no}: {exc}") from None
+        yield _checked(row[0], values, nu, line_no)
+
+
+# The ingest cache: a sidecar ``.<name>.qcdeval-cache.npz`` beside a regular
+# data file holds its parsed records (line number, id, frames, changepoint),
+# keyed by this version, the format and the SHA-256 of the file's bytes.
+_CACHE_VERSION = 1
+_CACHE_SUFFIX = ".qcdeval-cache.npz"
+_HASH_CHUNK = 1 << 20
+
+
+def _cache_path(path) -> str:
+    folder, name = os.path.split(os.fspath(path))
+    return os.path.join(folder, f".{name}{_CACHE_SUFFIX}")
+
+
+def _cache_key(fmt: str, digest: str) -> str:
+    return f"qcdeval-ingest-cache/{_CACHE_VERSION} {fmt} {digest}"
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that adds every byte read from it to ``digest``."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(buf)
+        self._digest.update(memoryview(buf)[:n])
+        return n
+
+    def close(self):
+        self._raw.close()
+        super().close()
+
+
+def _read_cache(cache: str, key: str):
+    """The records held by the sidecar, or None when it is missing,
+    unreadable or keyed to other bytes."""
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # not a zip file, so not a sidecar
+                return None
+            fh.seek(0)
+            with np.load(fh) as z:
+                if z["key"].item() != key:
+                    return None
+                frames, starts, widths = z["frames"], z["offsets"].tolist(), z["widths"].tolist()
+                nu, lines = z["nu"].tolist(), z["lines"].tolist()
+                ids = json.loads(z["ids"].tobytes())
+        if not len(nu) == len(lines) == len(widths) == len(starts) - 1 == len(ids):
+            return None
+        values = [frames[a:b] if w == 0 else frames[a:b].reshape(-1, w)
+                  for a, b, w in zip(starts, starts[1:], widths)]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return list(zip(lines, ids, values, nu))
+
+
+def _write_cache(cache: str, key: str, records, mode: int) -> None:
+    """Write the sidecar atomically, with the data file's read and write
+    permissions ``mode``: a temporary file in its folder, then
+    ``os.replace``. A failure leaves no file behind and is only logged.
+
+    The frames of all records are one float64 buffer; record i holds
+    ``frames[offsets[i]:offsets[i + 1]]``, 1-D where ``widths[i]`` is 0 and
+    otherwise that many columns wide (a 2-D record without columns is
+    rejected as empty, so it never reaches the cache)."""
+    lines, ids, values, nu = zip(*records) if records else ((),) * 4
+    arrays = {
+        "key": np.array(key),
+        "frames": np.concatenate(values, axis=None) if values else np.empty(0),
+        "offsets": np.cumsum([0, *(v.size for v in values)], dtype=np.int64),
+        "widths": np.array([v.shape[1] if v.ndim == 2 else 0 for v in values], dtype=np.int64),
+        "nu": np.array(nu, dtype=np.float64),
+        "lines": np.array(lines, dtype=np.int64),
+        "ids": np.frombuffer(json.dumps(ids).encode(), np.uint8),
+    }
+    folder, name = os.path.split(cache)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, mode & 0o666)
+            np.savez(fh, **arrays)
+        os.replace(tmp, cache)
+    except OSError as exc:
+        log.info("ingest cache not written: %s", exc)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _records(path, fmt: str):
+    """The file's records, in file order: from its sidecar when the sidecar's
+    key matches the file's bytes, else parsed, and then cached once every
+    record has parsed. A file that is not a regular file (a FIFO, say) is
+    parsed once and never cached."""
+    parse, newline = (_iter_jsonl, None) if fmt == "jsonl" else (_iter_csv, "")
+    mode = os.stat(path).st_mode
+    if not stat.S_ISREG(mode):
+        with open(path, newline=newline) as fh:
+            yield from parse(fh)
+        return
+    cache = _cache_path(path)
+    if os.path.exists(cache):
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_HASH_CHUNK):
+                digest.update(chunk)
+        records = _read_cache(cache, _cache_key(fmt, digest.hexdigest()))
+        if records is not None:
+            log.info("ingest cache hit: %s", cache)
+            yield from records
+            return
+    log.info("ingest cache miss: %s", cache)
+    digest, records = hashlib.sha256(), []
+    raw = _HashingReader(open(path, "rb", buffering=0), digest)
+    with io.TextIOWrapper(io.BufferedReader(raw, _HASH_CHUNK), newline=newline) as fh:
+        for record in parse(fh):
+            records.append(record)
+            yield record
+    _write_cache(cache, _cache_key(fmt, digest.hexdigest()), records, mode)
 
 
 def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
@@ -135,17 +270,19 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     Both are counted in the report attached as ``dataset.ingest_report``.
     Structurally malformed records, records holding a NaN or infinite frame
     or changepoint, and a repeated id raise with their line number.
+
+    The parsed records of a regular file are cached in a sidecar beside it
+    (see ``_records``); the checks above run on them either way.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
-    records = _iter_jsonl(path) if fmt == "jsonl" else _iter_csv(path)
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {fmt}")
     metas, values = [], []
     dropped = rejected = 0
     diagnostics = []
     seen = set()
-    for line_no, seq_id, vals, nu in records:
+    for line_no, seq_id, vals, nu in _records(path, fmt):
         if seq_id in seen:
             raise ValueError(
                 f"malformed record at line {line_no}: duplicate id {seq_id!r}"

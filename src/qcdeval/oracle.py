@@ -189,6 +189,8 @@ _QUAD_START, _QUAD_CAP = 64, 4096  # Gauss-Legendre nodes per piece
 
 
 def _mc_rng(reps: int, seed: int, name: str) -> np.random.Generator:
+    if not isinstance(reps, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {reps!r}")
     if reps < 2:  # a mean and its standard error need two replications
         raise ValueError(f"{name} must be >= 2, got {reps}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -259,25 +259,34 @@ def _rmst_rows(times: np.ndarray, events: np.ndarray, a: float) -> np.ndarray:
     """``rmst_km_batch`` on one block of rows."""
     t, drop, at_risk, deaths, surv = _product_limit(times, events)
     del at_risk, deaths
-
-    # Rows with the same number k of drops below a share one (rows, k + 1)
-    # interval table, so each row sums exactly the terms rmst sums.
     drop &= t < a
     counts = drop.sum(axis=1)
-    # Stable-sorted by k, each group's rows are one contiguous block of the
-    # kept (drops, survs), rows in their own order.
-    by_count = np.argsort(counts, kind="stable")
-    counts, drop = counts[by_count], drop[by_count]
-    drops, survs = t[by_count][drop], surv[by_count][drop]
-    del t, drop, surv
-    block_first = np.cumsum(counts) - counts
 
+    # The k + 1 terms s * (right - left) of a row with k drops below a are
+    # the terms rmst sums, laid out row after row in one flat array: drop j
+    # of the block, in row r, closes the interval at position j + r and
+    # opens the one at j + r + 1.
+    at = np.flatnonzero(drop)
+    closes = at // drop.shape[1]
+    closes += np.arange(at.size)
+    rights = np.full(counts.size + at.size, a)
+    lefts = np.zeros_like(rights)
+    s_vals = np.ones_like(rights)
+    rights[closes] = lefts[closes + 1] = t.ravel()[at]
+    s_vals[closes + 1] = surv.ravel()[at]
+    del t, drop, surv, at, closes
+    terms = s_vals * (rights - lefts)
+    del lefts, rights, s_vals
+    first = np.cumsum(counts + 1) - (counts + 1)
+
+    # Rows with the same k sum one (rows, k + 1) gather of their terms, so
+    # each row's sum is rmst's, bit for bit.
     values = np.empty(times.shape[0])
-    ks, group_first, group_rows = np.unique(counts, return_index=True, return_counts=True)
+    by_count = np.argsort(counts, kind="stable")
+    ks, group_first, group_rows = np.unique(
+        counts[by_count], return_index=True, return_counts=True
+    )
     for k, r, m in zip(ks.tolist(), group_first.tolist(), group_rows.tolist()):
-        block = slice(block_first[r], block_first[r] + m * k)
-        lefts, rights, s_vals = _steps(
-            drops[block].reshape(m, k), survs[block].reshape(m, k), a
-        )
-        values[by_count[r : r + m]] = np.sum(s_vals * (rights - lefts), axis=1)
+        group = by_count[r : r + m]
+        values[group] = np.sum(terms[first[group, None] + np.arange(k + 1)], axis=1)
     return values

@@ -9,12 +9,7 @@ from qcdeval.detectors import (
     DetectorConfig,
     LikelihoodModel,
     alarm_frames,
-    llr_step,
-    run_cusum,
     run_detector,
-    run_ewma,
-    run_gsr,
-    run_window,
 )
 from qcdeval.metrics import INF
 
@@ -32,19 +27,19 @@ def cusum_cfg(threshold):
 
 class TestLLR:
     def test_gaussian_midpoint_zero(self):
-        assert llr_step(GAUSS, 0.05) == pytest.approx(0.0, abs=1e-12)
+        assert GAUSS.llr(0.05) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_closed_form(self):
-        assert llr_step(GAUSS, 1.0) == pytest.approx(0.95, abs=1e-12)
+        assert GAUSS.llr(1.0) == pytest.approx(0.95, abs=1e-12)
 
     def test_poisson_zero_count(self):
-        assert llr_step(POISSON, 0.0) == pytest.approx(-3.0, abs=1e-12)
+        assert POISSON.llr(0.0) == pytest.approx(-3.0, abs=1e-12)
 
     def test_poisson_rejects_non_integer(self):
         with pytest.raises(ValueError):
-            llr_step(POISSON, 1.5)
+            POISSON.llr(1.5)
         with pytest.raises(ValueError):
-            llr_step(POISSON, -1.0)
+            POISSON.llr(-1.0)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -58,16 +53,16 @@ class TestGSR:
         # llr == 0 every frame makes R(t) = t + 1
         model = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.0, var=1.0)
         cfg = DetectorConfig(kind="gsr", threshold=10.0, model=model)
-        out = run_gsr(np.zeros(20), cfg)
+        out = run_detector(np.zeros(20), cfg)
         assert out.tau == 9.0
 
     def test_head_start_immediate(self):
         model = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.0, var=1.0)
         cfg = DetectorConfig(kind="gsr", threshold=10.0, model=model, omega=10.0)
-        assert run_gsr(np.zeros(5), cfg).tau == 0.0
+        assert run_detector(np.zeros(5), cfg).tau == 0.0
 
     def test_unreachable_threshold(self):
-        assert run_gsr(np.zeros(5), gsr_cfg(1e308)).tau == INF
+        assert run_detector(np.zeros(5), gsr_cfg(1e308)).tau == INF
 
     def test_double_sum_equivalence(self):
         # Recursive log-space R(t) vs the direct double-sum definition
@@ -88,24 +83,24 @@ class TestGSR:
 
     def test_multivariate_rejected(self):
         with pytest.raises(ValueError):
-            run_gsr(np.zeros((5, 2)), gsr_cfg(10.0))
+            run_detector(np.zeros((5, 2)), gsr_cfg(10.0))
 
 
 class TestCUSUM:
     def test_reflection_at_zero(self):
         # Strongly pre-change frames keep W at 0 forever.
         x = np.full(50, -10.0)
-        assert run_cusum(x, cusum_cfg(0.5)).tau == INF
+        assert run_detector(x, cusum_cfg(0.5)).tau == INF
 
     def test_linear_ramp(self):
         # x == 1 gives llr = x - 0.5 = +0.5 per frame: W(t) = 0.5 (t+1),
         # threshold 2 -> tau = 3.
         model = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=1.0, var=1.0)
         cfg = DetectorConfig(kind="cusum", threshold=2.0, model=model)
-        assert run_cusum(np.full(10, 1.0), cfg).tau == 3.0
+        assert run_detector(np.full(10, 1.0), cfg).tau == 3.0
 
     def test_zero_threshold_alarms_immediately(self):
-        assert run_cusum(np.zeros(3), cusum_cfg(0.0)).tau == 0.0
+        assert run_detector(np.zeros(3), cusum_cfg(0.0)).tau == 0.0
 
     def test_nonnegativity_identity(self):
         rng = np.random.default_rng(1)
@@ -127,27 +122,27 @@ class TestEWMA:
         )
 
     def test_constant_sequence_never_alarms(self):
-        assert run_ewma(np.full(100, 3.0), self.cfg(0.5)).tau == INF
+        assert run_detector(np.full(100, 3.0), self.cfg(0.5)).tau == INF
 
     def test_short_sequence_no_alarm(self):
-        assert run_ewma(np.zeros(5), self.cfg(0.5, burn_in=10)).tau == INF
+        assert run_detector(np.zeros(5), self.cfg(0.5, burn_in=10)).tau == INF
 
     def test_step_change_detected(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([rng.normal(0, 1, 50), rng.normal(6, 1, 50)])
-        out = run_ewma(x, self.cfg(3.0, burn_in=30))
+        out = run_detector(x, self.cfg(3.0, burn_in=30))
         assert 50 <= out.tau < 70
 
     def test_degenerate_scale_guard(self):
         x = np.concatenate([np.zeros(10), [1e-6], np.zeros(9)])
-        out = run_ewma(x, self.cfg(3.0, burn_in=10))
+        out = run_detector(x, self.cfg(3.0, burn_in=10))
         assert out.tau == 10.0  # any deviation alarms when burn-in std is 0
 
     def test_lambda_one_is_per_frame_test(self):
         rng = np.random.default_rng(3)
         head = rng.normal(0, 1, 30)
         x = np.concatenate([head, [100.0], rng.normal(0, 1, 10)])
-        out = run_ewma(x, self.cfg(4.0, lam=1.0, burn_in=30))
+        out = run_detector(x, self.cfg(4.0, lam=1.0, burn_in=30))
         assert out.tau == 30.0
 
 
@@ -158,12 +153,12 @@ class TestWindow:
         )
 
     def test_constant_sequence_l1_never_alarms(self):
-        out = run_window(np.full(200, 1.0), self.cfg("window-l1", 0.5))
+        out = run_detector(np.full(200, 1.0), self.cfg("window-l1", 0.5))
         assert out.tau == INF
 
     def test_step_detected_near_step(self):
         x = np.concatenate([np.zeros(60), np.full(60, 10.0)])
-        out = run_window(x, self.cfg("window-l1", 50.0, w=10, burn_in=10))
+        out = run_detector(x, self.cfg("window-l1", 50.0, w=10, burn_in=10))
         assert out.tau != INF
         assert 60 <= out.tau <= 80  # within a window of the step
 
@@ -171,16 +166,16 @@ class TestWindow:
         rng = np.random.default_rng(5)
         x = rng.normal(0, 1, 100)
         cfg = self.cfg("window-l1", 0.0, w=10, burn_in=10)
-        assert run_window(x, cfg).tau == 10 + 2 * 10 - 1
+        assert run_detector(x, cfg).tau == 10 + 2 * 10 - 1
 
     def test_too_short_never_alarms(self):
         cfg = self.cfg("window-l1", 0.0, w=10, burn_in=10)
-        assert run_window(np.zeros(29), cfg).tau == INF
+        assert run_detector(np.zeros(29), cfg).tau == INF
 
     def test_normal_cost_detects_variance_change(self):
         rng = np.random.default_rng(6)
         x = np.concatenate([rng.normal(0, 0.1, 80), rng.normal(0, 5.0, 80)])
-        out = run_window(x, self.cfg("window-normal", 20.0, w=15, burn_in=15))
+        out = run_detector(x, self.cfg("window-normal", 20.0, w=15, burn_in=15))
         assert 80 <= out.tau <= 115
 
     def test_multivariate_supported(self):
@@ -188,7 +183,7 @@ class TestWindow:
         x = np.concatenate(
             [rng.normal(0, 1, (60, 3)), rng.normal(8, 1, (60, 3))], axis=0
         )
-        out = run_window(x, self.cfg("window-l1", 100.0, w=10, burn_in=10))
+        out = run_detector(x, self.cfg("window-l1", 100.0, w=10, burn_in=10))
         assert out.tau != INF
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import logging
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from qcdeval import harness
+from qcdeval.cli import main
 from qcdeval.detectors import DetectorConfig, LikelihoodModel
 from qcdeval.harness import (
     emit_curve,
@@ -104,6 +111,253 @@ class TestIngest:
         path = write_jsonl(tmp_path, [])
         with pytest.raises(ValueError, match="format"):
             ingest(path, fmt="parquet")
+
+
+def _cache_records(kind):
+    """Records that exercise the ingest cache: a non-ASCII id, an id ending
+    in NUL (JSONL only), a -0.0 frame, a record below min_length=2 and one
+    with nu >= T."""
+    rng = np.random.default_rng(5)
+    records = []
+    for i in range(14):
+        length = int(rng.integers(5, 40))
+        shape = (length, 2) if kind == "jsonl-2d" else (length,)
+        records.append({"id": f"s{i}", "values": rng.normal(0.0, 0.4, shape).tolist(),
+                        "nu": int(rng.integers(0, length)) if i % 3 else None})
+    records[0]["id"] = "séquence-π"
+    records[2]["values"] = records[2]["values"][:1]
+    records[3]["nu"] = len(records[3]["values"]) + 2
+    records[4]["values"][0] = [-0.0, 1.0] if kind == "jsonl-2d" else -0.0
+    if kind != "csv":
+        records[1]["id"] = "tail\x00"
+    return records
+
+
+def _write_cache_input(tmp_path, kind, records):
+    """The records as JSONL or CSV with blank lines, and for JSONL a CRLF
+    line and a whitespace-only line."""
+    if kind == "csv":
+        path = tmp_path / "d.csv"
+        buf = io.StringIO()
+        for i, r in enumerate(records):
+            nu = "" if r["nu"] is None else str(r["nu"])
+            buf.write(",".join([f'"{r["id"]}"', nu, *map(repr, r["values"])]) + "\n")
+            if i % 5 == 1:
+                buf.write("\n")
+        path.write_bytes(buf.getvalue().encode())
+        return path
+    path = tmp_path / "d.jsonl"
+    lines = [json.dumps(r) for r in records]
+    lines.insert(3, "")
+    lines.insert(7, "   ")
+    lines[9] += "\r"
+    path.write_bytes(("\n".join(lines) + "\n\n").encode())
+    return path
+
+
+def _sidecar(path):
+    return path.parent / f".{path.name}.qcdeval-cache.npz"
+
+
+def assert_same_dataset(a, b):
+    assert a.metas == b.metas
+    assert a.ingest_report == b.ingest_report
+    assert len(a.values) == len(b.values)
+    for x, y in zip(a.values, b.values):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert a.content_hash() == b.content_hash()
+
+
+@contextlib.contextmanager
+def _uncached(monkeypatch):
+    """Ingest as the program did before the cache: parse every time."""
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_read_cache", lambda cache, key: None)
+        m.setattr(harness, "_write_cache", lambda cache, key, records, mode: None)
+        yield
+
+
+def _cache_lines(caplog):
+    return [r.getMessage().split(":")[0] for r in caplog.records
+            if r.getMessage().startswith("ingest cache")]
+
+
+CLI_RUNS = {
+    "1d": {"detector": ["--detector", "gsr", "--model", "gaussian:0,0.1,0.1"],
+           "grid": "1:1e4:7-log", "threshold": "20"},
+    "2d": {"detector": ["--detector", "window-l1", "--window-size", "3", "--burn-in", "3"],
+           "grid": "0.5,2,8", "threshold": "2"},
+}
+
+
+def _cli_outputs(data, out, dims, before_each=lambda: None):
+    """Bytes of every output of curve, evaluate and survival (both kinds)."""
+    run = CLI_RUNS[dims]
+    common = ["--data", str(data), *run["detector"]]
+    argvs = [
+        ["curve", *common, "--thresholds", run["grid"], "--out", str(out / "c.csv"),
+         "--svg", str(out / "c.svg")],
+        ["evaluate", *common, "--threshold", run["threshold"], "--out", str(out / "e.json")],
+        ["survival", *common, "--threshold", run["threshold"], "--kind", "arl",
+         "--out", str(out / "sa.csv")],
+        ["survival", *common, "--threshold", run["threshold"], "--kind", "add",
+         "--out", str(out / "sd.csv")],
+    ]
+    out.mkdir()
+    for argv in argvs:
+        before_each()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestIngestCache:
+    KINDS = ("jsonl-1d", "jsonl-2d", "csv")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_hit_miss_and_uncached_parse_agree(self, tmp_path, kind, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        records = _cache_records(kind)
+        data = _write_cache_input(tmp_path, kind, records)
+        fmt = "csv" if kind == "csv" else "jsonl"
+        with _uncached(monkeypatch):
+            parsed = ingest(data, fmt=fmt)
+        assert not _sidecar(data).exists()
+        caplog.clear()
+        miss = ingest(data, fmt=fmt)
+        assert _sidecar(data).exists()
+        hit = ingest(data, fmt=fmt)
+        assert _cache_lines(caplog) == ["ingest cache miss", "ingest cache hit"]
+        for ds in (miss, hit):
+            assert_same_dataset(ds, parsed)
+        # Against the records themselves: one dropped, one rejected.
+        kept = [r for i, r in enumerate(records) if i not in (2, 3)]
+        assert [m.id for m in hit.metas] == [r["id"] for r in kept]
+        for r, vals in zip(kept, hit.values):
+            assert vals.tobytes() == np.asarray(r["values"], dtype=np.float64).tobytes()
+        report = hit.ingest_report
+        assert (report.n_loaded, report.n_dropped_short, report.n_rejected) == (12, 1, 1)
+
+        dims = "2d" if kind == "jsonl-2d" else "1d"
+        with _uncached(monkeypatch):
+            want = _cli_outputs(data, tmp_path / "uncached", dims)
+        missed = _cli_outputs(data, tmp_path / "miss", dims,
+                              before_each=lambda: _sidecar(data).unlink(missing_ok=True))
+        hits = _cli_outputs(data, tmp_path / "hit", dims)
+        assert len(want) == 9  # four results, their manifests and the SVG
+        assert missed == want and hits == want
+
+    def test_edited_file_misses_and_rewrites_sidecar(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        ingest(data)
+        first = _sidecar(data).read_bytes()
+        # Same size, one letter changed: only the bytes tell the two apart.
+        data.write_text(data.read_text().replace('"s5"', '"t5"'))
+        edited = ingest(data)
+        assert "t5" in [m.id for m in edited.metas]
+        assert _sidecar(data).read_bytes() != first
+        assert_same_dataset(ingest(data), edited)
+        assert _cache_lines(caplog) == ["ingest cache miss"] * 2 + ["ingest cache hit"]
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "npy",
+                                        "wrong-version", "wrong-format"])
+    def test_bad_sidecar_is_ignored_and_replaced(self, tmp_path, damage, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        with _uncached(monkeypatch):
+            want = ingest(data)
+        sidecar = _sidecar(data)
+        if damage == "wrong-version":
+            monkeypatch.setattr(harness, "_CACHE_VERSION", 0)
+            ingest(data)
+            monkeypatch.undo()
+        elif damage == "wrong-format":
+            # The same bytes read as CSV fail, so key a JSONL parse as CSV.
+            real_key = harness._cache_key
+            monkeypatch.setattr(harness, "_cache_key", lambda fmt, digest: real_key("csv", digest))
+            ingest(data)
+            monkeypatch.undo()
+        elif damage == "npy":
+            with open(sidecar, "wb") as fh:
+                np.save(fh, np.arange(3.0))
+        else:
+            ingest(data)
+            good = sidecar.read_bytes()
+            sidecar.write_bytes({"truncated": good[: len(good) // 2], "garbage": b"not a zip" * 50,
+                                 "empty": b""}[damage])
+        damaged = sidecar.read_bytes()
+        caplog.clear()
+        assert_same_dataset(ingest(data), want)
+        assert sidecar.read_bytes() != damaged
+        assert_same_dataset(ingest(data), want)
+        assert _cache_lines(caplog) == ["ingest cache miss", "ingest cache hit"]
+
+    def test_failed_write_changes_no_output_and_leaves_no_file(self, tmp_path, monkeypatch):
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        with _uncached(monkeypatch):
+            want = _cli_outputs(data, tmp_path / "uncached", "1d")
+
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert _cli_outputs(data, tmp_path / "out", "1d") == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "out", "uncached"]
+
+    @pytest.mark.parametrize("bad, error", [
+        ('{"id": "x", "values": [1.0, "a"], "nu": null}', "line 6: could not convert"),
+        ('{"id": "s0", "values": [1.0, 2.0], "nu": null}', "line 6: duplicate id 's0'"),
+    ])
+    def test_malformed_record_raises_and_writes_no_sidecar(self, tmp_path, bad, error):
+        lines = [json.dumps({"id": f"s{i}", "values": [0.1 * i, 0.2, 0.3], "nu": None})
+                 for i in range(5)]
+        lines += [bad, json.dumps({"id": "s9", "values": [0.1, 0.2], "nu": None})]
+        data = tmp_path / "d.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=error):
+                ingest(data)
+            assert list(tmp_path.iterdir()) == [data]
+
+    def test_fifo_parses_without_sidecar(self, tmp_path, monkeypatch):
+        regular = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        with _uncached(monkeypatch):
+            want = ingest(regular)
+        fifo = tmp_path / "p.jsonl"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(regular.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = ingest(fifo)
+        finally:
+            if writer.is_alive():  # ingest never opened the FIFO: unblock it
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+        assert_same_dataset(got, want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "p.jsonl"]
+
+    def test_two_ingests_in_one_process_both_read_the_sidecar(self, tmp_path, monkeypatch):
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        real, reads = harness._read_cache, []
+
+        def counted(cache, key):
+            records = real(cache, key)
+            reads.append(records is not None)
+            return records
+
+        monkeypatch.setattr(harness, "_read_cache", counted)
+        first = ingest(data)
+        assert reads == []  # no sidecar yet: parsed without looking
+        assert_same_dataset(ingest(data), first)
+        assert_same_dataset(ingest(data), first)
+        assert reads == [True, True]
 
 
 class TestSweep:

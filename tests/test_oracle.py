@@ -456,6 +456,24 @@ class TestSharedEstimator:
             true_add_mc(model, cfg, ("fixed", 10), n_reps=100, horizon_cap=50, seed=0)
 
 
+    @pytest.mark.parametrize("reps", [2.5, 10.0, np.int64(10)])
+    @pytest.mark.parametrize("name", ["mc_reps", "n_reps (arl)", "n_reps (add)"])
+    def test_replication_count_must_be_an_integer(self, name, reps):
+        cfg = DetectorConfig(kind="gsr", threshold=5.0, model=GAUSS)
+        calls = {
+            "mc_reps": lambda: bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0,
+                                           mc_reps=reps),
+            "n_reps (arl)": lambda: true_arl_mc(GAUSS, cfg, n_reps=reps, horizon_cap=2000),
+            "n_reps (add)": lambda: true_add_mc(GAUSS, cfg, ("fixed", 3), n_reps=reps,
+                                                horizon_cap=2000),
+        }
+        if isinstance(reps, float):
+            with pytest.raises(ValueError, match=f"{name.split()[0]} must be an integer"):
+                calls[name]()
+        else:
+            calls[name]()
+
+
 class TestFirstAlarmLoop:
     """Rebuild each replication's stream from the recorded draws and rescan it
     with the sequence detector."""
