@@ -164,7 +164,7 @@ def _run_manifest(args, out, config: DetectorConfig, dataset=None, **keys):
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec) as fh:
+    with open(args.spec, encoding="utf-8") as fh:
         spec = SimSpec.from_json(json.load(fh))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -192,7 +192,7 @@ def cmd_evaluate(args) -> int:
     config = _detector_config(args)
     metrics = _metrics(args)
     point = sweep(dataset, config, [args.threshold], metrics).points[0]
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({name: est.to_json() for name, est in point.estimates.items()},
                   fh, indent=2)
         fh.write("\n")
@@ -251,7 +251,7 @@ def cmd_oracle(args) -> int:
     }
     line = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(line)
         _run_manifest(args, args.out, config, model=args.model,
                       threshold=args.threshold, reps=args.reps)
@@ -282,7 +282,7 @@ def cmd_verify_bounds(args) -> int:
         )
     if args.out:
         fields = ("n", "a", "lower", "upper", "mc_bias", "mc_ci_halfwidth", "contained")
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
             writer.writerows([getattr(r, k) for k in fields] for r in reports)

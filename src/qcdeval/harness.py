@@ -4,20 +4,22 @@ Ingests labeled datasets, sweeps detector thresholds, computes the five
 metrics with SEMs per threshold, and renders the results as CSV and as a
 hand-rolled SVG tradeoff plot.
 
-Every run of a detector over a dataset goes through ``alarm_columns``: the
-grid becomes detector levels once (``detectors.detector_levels``), each
-sequence is scanned once for all of them (``detectors.scan``), and the
-labels become two float columns, lengths and changepoints. The result is
-the (lengths, nu, tau) triple the metrics read, with tau a (sequences x
-thresholds) table of first alarms (inf for no alarm). ``sweep`` computes
-every metric at every threshold from it with ``metrics.estimate``, and the
-CLI's ``survival`` fits one column of it. Sequences are never matched by id:
-``ingest`` rejects a repeated id.
+A dataset is one layout from file to scan: the flat columns of
+``simulate.LabeledDataset`` (ids, changepoints, one float64 frame buffer with
+offsets and widths). Every run of a detector over a dataset goes through
+``alarm_columns``: the grid becomes detector levels once
+(``detectors.detector_levels``), each sequence is scanned once for all of
+them (``detectors.scan``), and the dataset's lengths and changepoints are
+read as float columns. The result is the (lengths, nu, tau) triple the
+metrics read, with tau a (sequences x thresholds) table of first alarms (inf
+for no alarm). ``sweep`` computes every metric at every threshold from it
+with ``metrics.estimate``, and the CLI's ``survival`` fits one column of it.
+Sequences are never matched by id: ``ingest`` rejects a repeated id.
 
-``ingest`` parses a regular data file once: it caches the parsed records in
-a sidecar ``.<name>.qcdeval-cache.npz`` beside the file, keyed by the SHA-256
-of the file's bytes, and reads them from there while the bytes match. The
-sidecar never changes a result, a count or a manifest.
+``ingest`` parses a regular data file once: it saves the parsed dataset's
+columns in a sidecar ``.<name>.qcdeval-cache.npz`` beside the file, keyed by
+the SHA-256 of the file's bytes, and loads them from there while the bytes
+match. The sidecar never changes a result, a count or a manifest.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV. Sequences are scanned one after the other in dataset
@@ -39,6 +41,7 @@ import stat
 import tempfile
 import zipfile
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -103,11 +106,9 @@ def _checked(seq_id: str, values: np.ndarray, nu, line_no: int):
     censored runs instead of failing."""
     if not np.isfinite(values).all():
         raise ValueError(f"malformed record at line {line_no}: non-finite value")
-    if nu is None:
-        return line_no, seq_id, values, INF
-    if not math.isfinite(nu):
+    if nu is not None and not math.isfinite(nu):
         raise ValueError(f"malformed record at line {line_no}: non-finite changepoint")
-    return line_no, seq_id, values, nu
+    return line_no, seq_id, values, INF if nu is None else nu
 
 
 def _iter_jsonl(fh):
@@ -138,8 +139,8 @@ def _iter_csv(fh):
 
 
 # The ingest cache: a sidecar ``.<name>.qcdeval-cache.npz`` beside a regular
-# data file holds its parsed records (line number, id, frames, changepoint),
-# keyed by this version, the format and the SHA-256 of the file's bytes.
+# data file holds the columns of its parsed dataset, keyed by this version,
+# the format and the SHA-256 of the file's bytes.
 _CACHE_VERSION = 1
 _CACHE_SUFFIX = ".qcdeval-cache.npz"
 _HASH_CHUNK = 1 << 20
@@ -174,8 +175,9 @@ class _HashingReader(io.RawIOBase):
 
 
 def _read_cache(cache: str, key: str):
-    """The records held by the sidecar, or None when it is missing,
-    unreadable or keyed to other bytes."""
+    """The dataset held by the sidecar, or None when it is missing,
+    unreadable or keyed to other bytes. Arrays the reader does not name (the
+    ``lines`` of older sidecars) are never read."""
     try:
         with open(cache, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":  # not a zip file, so not a sidecar
@@ -184,44 +186,32 @@ def _read_cache(cache: str, key: str):
             with np.load(fh) as z:
                 if z["key"].item() != key:
                     return None
-                frames, starts, widths = z["frames"], z["offsets"].tolist(), z["widths"].tolist()
-                nu, lines = z["nu"].tolist(), z["lines"].tolist()
-                ids = json.loads(z["ids"].tobytes())
-        if not len(nu) == len(lines) == len(widths) == len(starts) - 1 == len(ids):
-            return None
-        values = [frames[a:b] if w == 0 else frames[a:b].reshape(-1, w)
-                  for a, b, w in zip(starts, starts[1:], widths)]
+                dataset = LabeledDataset(
+                    ids=json.loads(z["ids"].tobytes()), nu=z["nu"], frames=z["frames"],
+                    offsets=z["offsets"], widths=z["widths"])
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return list(zip(lines, ids, values, nu))
+    n = len(dataset.ids)
+    if not dataset.nu.shape == dataset.widths.shape == (n,) == (dataset.offsets.size - 1,):
+        return None
+    return dataset
 
 
-def _write_cache(cache: str, key: str, records, mode: int) -> None:
-    """Write the sidecar atomically, with the data file's read and write
-    permissions ``mode``: a temporary file in its folder, then
-    ``os.replace``. A failure leaves no file behind and is only logged.
-
-    The frames of all records are one float64 buffer; record i holds
-    ``frames[offsets[i]:offsets[i + 1]]``, 1-D where ``widths[i]`` is 0 and
-    otherwise that many columns wide (a 2-D record without columns is
-    rejected as empty, so it never reaches the cache)."""
-    lines, ids, values, nu = zip(*records) if records else ((),) * 4
-    arrays = {
-        "key": np.array(key),
-        "frames": np.concatenate(values, axis=None) if values else np.empty(0),
-        "offsets": np.cumsum([0, *(v.size for v in values)], dtype=np.int64),
-        "widths": np.array([v.shape[1] if v.ndim == 2 else 0 for v in values], dtype=np.int64),
-        "nu": np.array(nu, dtype=np.float64),
-        "lines": np.array(lines, dtype=np.int64),
-        "ids": np.frombuffer(json.dumps(ids).encode(), np.uint8),
-    }
+def _write_cache(cache: str, key: str, dataset: LabeledDataset, mode: int) -> None:
+    """Write the dataset's columns to the sidecar atomically, with the data
+    file's read and write permissions ``mode``: a temporary file in its
+    folder, then ``os.replace``. A failure leaves no file behind and is only
+    logged. Ids are stored as JSON bytes, so a trailing NUL or a lone
+    surrogate survives."""
     folder, name = os.path.split(cache)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, mode & 0o666)
-            np.savez(fh, **arrays)
+            np.savez(fh, key=np.array(key), frames=dataset.frames, offsets=dataset.offsets,
+                     widths=dataset.widths, nu=dataset.nu,
+                     ids=np.frombuffer(json.dumps(dataset.ids).encode(), np.uint8))
         os.replace(tmp, cache)
     except OSError as exc:
         log.info("ingest cache not written: %s", exc)
@@ -230,36 +220,48 @@ def _write_cache(cache: str, key: str, records, mode: int) -> None:
                 os.unlink(tmp)
 
 
-def _records(path, fmt: str):
-    """The file's records, in file order: from its sidecar when the sidecar's
-    key matches the file's bytes, else parsed, and then cached once every
-    record has parsed. A file that is not a regular file (a FIFO, say) is
-    parsed once and never cached."""
+def _collect(records) -> LabeledDataset:
+    """The dataset of the parsed records, in file order; a repeated id
+    raises with its line number."""
+    ids, values, nus, seen = [], [], [], set()
+    for line_no, seq_id, vals, nu in records:
+        if seq_id in seen:
+            raise ValueError(f"malformed record at line {line_no}: duplicate id {seq_id!r}")
+        seen.add(seq_id)
+        ids.append(seq_id)
+        values.append(vals)
+        nus.append(nu)
+    return LabeledDataset.from_sequences(ids, values, nus)
+
+
+def _load(path, fmt: str) -> LabeledDataset:
+    """Every record of the file: from its sidecar when the sidecar's key
+    matches the file's bytes, else parsed, and then cached once every record
+    has parsed. A file that is not a regular file (a FIFO, say) is parsed
+    once and never cached."""
     parse, newline = (_iter_jsonl, None) if fmt == "jsonl" else (_iter_csv, "")
     mode = os.stat(path).st_mode
     if not stat.S_ISREG(mode):
-        with open(path, newline=newline) as fh:
-            yield from parse(fh)
-        return
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            return _collect(parse(fh))
     cache = _cache_path(path)
     if os.path.exists(cache):
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
             while chunk := fh.read(_HASH_CHUNK):
                 digest.update(chunk)
-        records = _read_cache(cache, _cache_key(fmt, digest.hexdigest()))
-        if records is not None:
+        dataset = _read_cache(cache, _cache_key(fmt, digest.hexdigest()))
+        if dataset is not None:
             log.info("ingest cache hit: %s", cache)
-            yield from records
-            return
+            return dataset
     log.info("ingest cache miss: %s", cache)
-    digest, records = hashlib.sha256(), []
+    digest = hashlib.sha256()
     raw = _HashingReader(open(path, "rb", buffering=0), digest)
-    with io.TextIOWrapper(io.BufferedReader(raw, _HASH_CHUNK), newline=newline) as fh:
-        for record in parse(fh):
-            records.append(record)
-            yield record
-    _write_cache(cache, _cache_key(fmt, digest.hexdigest()), records, mode)
+    with io.TextIOWrapper(io.BufferedReader(raw, _HASH_CHUNK), newline=newline,
+                          encoding="utf-8") as fh:
+        dataset = _collect(parse(fh))
+    _write_cache(cache, _cache_key(fmt, digest.hexdigest()), dataset, mode)
+    return dataset
 
 
 def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
@@ -271,39 +273,32 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     Structurally malformed records, records holding a NaN or infinite frame
     or changepoint, and a repeated id raise with their line number.
 
-    The parsed records of a regular file are cached in a sidecar beside it
-    (see ``_records``); the checks above run on them either way.
+    The parsed dataset of a regular file is cached in a sidecar beside it
+    (see ``_load``); the filters above run on it either way, and copy it
+    only when they remove a sequence.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown format: {fmt}")
-    metas, values = [], []
-    dropped = rejected = 0
-    diagnostics = []
-    seen = set()
-    for line_no, seq_id, vals, nu in _records(path, fmt):
-        if seq_id in seen:
-            raise ValueError(
-                f"malformed record at line {line_no}: duplicate id {seq_id!r}"
-            )
-        seen.add(seq_id)
-        length = vals.shape[0]
-        if length < min_length:
-            dropped += 1
-            continue
+    dataset = _load(path, fmt)
+    lengths = dataset.lengths
+    keep = lengths >= min_length
+    dropped = len(dataset) - int(np.count_nonzero(keep))
+    diagnostics, nu = [], dataset.nu.tolist()
+    for i in np.flatnonzero(keep).tolist():
         try:
-            metas.append(SequenceMeta(id=seq_id, length_T=length, changepoint_nu=nu))
+            SequenceMeta(id=dataset.ids[i], length_T=int(lengths[i]), changepoint_nu=nu[i])
         except ValueError as exc:
-            rejected += 1
+            keep[i] = False
             diagnostics.append(str(exc))
-            continue
-        values.append(vals)
-    dataset = LabeledDataset(metas=metas, values=values)
+    if not keep.all():
+        dataset = LabeledDataset.from_sequences(
+            compress(dataset.ids, keep), compress(dataset.values, keep), dataset.nu[keep])
     dataset.ingest_report = IngestReport(
-        n_loaded=len(metas),
+        n_loaded=len(dataset),
         n_dropped_short=dropped,
-        n_rejected=rejected,
+        n_rejected=len(diagnostics),
         diagnostics=tuple(diagnostics),
     )
     for diag in diagnostics:
@@ -317,20 +312,13 @@ def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds):
     """First alarm frame of every sequence (rows, in dataset order) at every
     threshold of the grid (columns), -1 for no alarm."""
     levels = detector_levels(config, thresholds)
-    table = np.empty((len(dataset.metas), levels.size), dtype=np.int64)
-    for row, (meta, values) in enumerate(zip(dataset.metas, dataset.values)):
+    table = np.empty((len(dataset), levels.size), dtype=np.int64)
+    for row, (seq_id, values) in enumerate(zip(dataset.ids, dataset.values)):
         try:
             table[row] = scan(values, config, levels)
         except ValueError as exc:
-            raise ValueError(f"sequence {meta.id!r}: {exc}") from exc
+            raise ValueError(f"sequence {seq_id!r}: {exc}") from exc
     return table
-
-
-def _label_columns(dataset: LabeledDataset):
-    """Float (lengths, nu) columns in dataset order, nu inf for no change."""
-    lengths = np.array([m.length_T for m in dataset.metas], dtype=np.float64)
-    nu = np.array([m.changepoint_nu for m in dataset.metas], dtype=np.float64)
-    return lengths, nu
 
 
 def alarm_columns(dataset: LabeledDataset, config: DetectorConfig, thresholds):
@@ -339,7 +327,7 @@ def alarm_columns(dataset: LabeledDataset, config: DetectorConfig, thresholds):
     (sequences x thresholds) float table of first alarms (inf for no alarm),
     from one scan per sequence (``config.threshold`` is not used)."""
     frames = _alarm_table(dataset, config, thresholds)
-    return (*_label_columns(dataset), np.where(frames < 0, INF, frames))
+    return dataset.lengths.astype(np.float64), dataset.nu, np.where(frames < 0, INF, frames)
 
 
 # Not called by the program; kept because qcdbench's traced runs wrap it.
@@ -348,7 +336,7 @@ def run_all(dataset: LabeledDataset, config: DetectorConfig, workers: int = 1):
     order. ``workers`` has no effect; it stays because the acceptance tests
     pass it."""
     tau = alarm_columns(dataset, config, [config.threshold])[2][:, 0]
-    return [DetectionOutcome(m.id, t) for m, t in zip(dataset.metas, tau.tolist())]
+    return [DetectionOutcome(i, t) for i, t in zip(dataset.ids, tau.tolist())]
 
 
 def _t_max(lengths, nu) -> float:
@@ -360,7 +348,7 @@ def observation_bounds(dataset: LabeledDataset) -> tuple[float, float]:
     and max of T - nu over with-change sequences (T - inf never wins). These
     bound the horizons of the censoring-aware estimators; beyond them the
     curves extrapolate."""
-    lengths, nu = _label_columns(dataset)
+    lengths, nu = dataset.lengths.astype(np.float64), dataset.nu
     return _t_max(lengths, nu), float(np.max(lengths - nu, initial=0.0))
 
 
@@ -401,7 +389,7 @@ def emit_curve(result: SweepResult, out_path, fmt: str = "csv") -> None:
     tradeoff scatter (log-x ARL vs ADD, error bars, shaded region past the
     largest observable run length)."""
     if fmt == "csv":
-        with open(out_path, "w", newline="") as fh:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["threshold", "metric", "value", "sem", "n_used", "extrapolation_flag"]
@@ -413,7 +401,7 @@ def emit_curve(result: SweepResult, out_path, fmt: str = "csv") -> None:
                 for name, est in p.estimates.items()
             )
     elif fmt == "svg":
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(_render_svg(result))
     else:
         raise ValueError(f"unknown curve format: {fmt}")
@@ -520,7 +508,7 @@ def write_manifest(path, *, command: str, config: dict, seed: int, dataset_hash=
         "seed": seed,
         "dataset_hash": dataset_hash,
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

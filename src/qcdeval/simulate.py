@@ -1,9 +1,11 @@
 """Synthetic labeled-sequence generation.
 
-Datasets are lists of (values, changepoint, length) with Gaussian or Poisson
-pre/post processes. Each sequence draws from its own counter-based random
-stream derived from (seed, index), so generation is reproducible regardless
-of iteration order or parallelism.
+A dataset is a set of flat columns, one entry per sequence: ids,
+changepoints and the frames of all sequences as one float64 buffer with
+offsets and widths. The sequences have Gaussian or Poisson pre/post
+processes. Each sequence draws from its own counter-based random stream
+derived from (seed, index), so generation is reproducible regardless of
+iteration order or parallelism.
 
 Persistence: JSONL with one object {"id", "values", "nu"} per line (nu null
 for no change) plus an optional sidecar JSON with the generating spec.
@@ -107,35 +109,72 @@ class SimSpec:
 
 
 def _check_length_law(law):
-    if law[0] == "fixed":
-        if law[1] < 1:
-            raise ValueError("fixed length must be >= 1")
-    elif law[0] == "uniform":
-        if not 1 <= law[1] <= law[2]:
-            raise ValueError("uniform length range needs 1 <= lo <= hi")
-    else:
+    """("fixed", T) or ("uniform", lo, hi), in whole frames with 1 <= lo <= hi."""
+    if law[0] not in ("fixed", "uniform"):
         raise ValueError(f"unknown length law: {law[0]}")
+    lo, hi = law[1], law[1 if law[0] == "fixed" else 2]
+    # float(x).is_integer() is False for 2.5, inf and NaN.
+    if not (float(lo).is_integer() and float(hi).is_integer() and 1 <= lo <= hi):
+        raise ValueError(f"length law {tuple(law)!r} needs whole lengths 1 <= lo <= hi")
 
 
 @dataclass
 class LabeledDataset:
-    metas: list[SequenceMeta]
-    values: list[np.ndarray]
+    """Labeled sequences as flat columns, in dataset order.
+
+    Sequence i has id ``ids[i]``, changepoint ``nu[i]`` (inf for no change)
+    and frames ``frames[offsets[i]:offsets[i + 1]]``: 1-D where
+    ``widths[i]`` is 0, otherwise that many columns per frame. Build one
+    from per-sequence pieces with ``from_sequences``.
+    """
+
+    ids: list[str]
+    nu: np.ndarray
+    frames: np.ndarray
+    offsets: np.ndarray
+    widths: np.ndarray
     provenance: object = None
     clamped_truncations: int = 0
 
+    @classmethod
+    def from_sequences(cls, ids, values, nu, **fields) -> "LabeledDataset":
+        """The dataset of these ids, frame arrays (1-D, or 2-D with one row
+        per frame) and changepoints; ``fields`` are the other fields."""
+        values = list(values)
+        return cls(list(ids), np.array(nu, dtype=np.float64),
+                   np.concatenate([*values, np.empty(0)], axis=None),
+                   np.cumsum([0, *(v.size for v in values)], dtype=np.int64),
+                   np.array([v.shape[1] if v.ndim == 2 else 0 for v in values], dtype=np.int64),
+                   **fields)
+
     def __len__(self):
-        return len(self.metas)
+        return len(self.ids)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Frames per sequence."""
+        return np.diff(self.offsets) // np.maximum(self.widths, 1)
+
+    @property
+    def values(self) -> list[np.ndarray]:
+        """Each sequence's frames, as views into ``frames``."""
+        bounds = self.offsets.tolist()
+        return [self.frames[a:b] if w == 0 else self.frames[a:b].reshape(-1, w)
+                for a, b, w in zip(bounds, bounds[1:], self.widths.tolist())]
+
+    @property
+    def metas(self) -> list[SequenceMeta]:
+        """Each sequence's labels, as ``SequenceMeta`` objects."""
+        return [SequenceMeta(id=i, length_T=t, changepoint_nu=nu)
+                for i, t, nu in zip(self.ids, self.lengths.tolist(), self.nu.tolist())]
 
     def content_hash(self) -> str:
         """SHA-256 over each sequence's id, changepoint and shape (as a JSON
         header) followed by its frames as little-endian float64 bytes."""
         h = hashlib.sha256()
-        for meta, vals in zip(self.metas, self.values):
-            arr = np.asarray(vals, dtype="<f8")
-            header = [meta.id, float(meta.changepoint_nu), list(arr.shape)]
-            h.update(json.dumps(header).encode())
-            h.update(arr.tobytes())
+        for seq_id, nu, vals in zip(self.ids, self.nu.tolist(), self.values):
+            h.update(json.dumps([seq_id, nu, list(vals.shape)]).encode())
+            h.update(vals.astype("<f8", copy=False))  # a view: no copy
         return h.hexdigest()
 
 
@@ -148,7 +187,7 @@ def _seq_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
 def _draw_length(rng, law) -> int:
     if law[0] == "fixed":
         return int(law[1])
-    return int(rng.integers(law[1], law[2] + 1))
+    return int(rng.integers(int(law[1]), int(law[2]) + 1))
 
 
 def _draw_frames(rng, model: LikelihoodModel, length: int, nu: float) -> np.ndarray:
@@ -170,8 +209,7 @@ def simulate(spec: SimSpec) -> LabeledDataset:
     A drawn changepoint at or beyond the sequence end is unobservable and is
     recorded as "no change".
     """
-    metas = []
-    values = []
+    values, nus = [], []
     for i in range(spec.n_sequences):
         rng = _seq_rng(spec.seed, i)
         length = _draw_length(rng, spec.length_law)
@@ -184,9 +222,10 @@ def simulate(spec: SimSpec) -> LabeledDataset:
                 nu = float(rng.integers(0, length))
             if nu >= length:
                 nu = INF
-        metas.append(SequenceMeta(id=f"seq{i:06d}", length_T=length, changepoint_nu=nu))
+        nus.append(nu)
         values.append(_draw_frames(rng, spec.model, length, nu))
-    return LabeledDataset(metas=metas, values=values, provenance=spec)
+    ids = (f"seq{i:06d}" for i in range(spec.n_sequences))
+    return LabeledDataset.from_sequences(ids, values, nus, provenance=spec)
 
 
 def truncate(dataset: LabeledDataset, length_law, seed: int = 0) -> LabeledDataset:
@@ -196,46 +235,26 @@ def truncate(dataset: LabeledDataset, length_law, seed: int = 0) -> LabeledDatas
     changepoint cut off by truncation becomes "no change".
     """
     _check_length_law(length_law)
-    metas = []
-    values = []
-    clamped = 0
-    for i, (meta, vals) in enumerate(zip(dataset.metas, dataset.values)):
-        rng = _seq_rng(seed, i, stream=_TRUNCATE_STREAM)
-        new_len = _draw_length(rng, length_law)
-        if new_len > meta.length_T:
-            new_len = meta.length_T
-            clamped += 1
-        nu = meta.changepoint_nu
-        if nu >= new_len:
-            nu = INF
-        metas.append(SequenceMeta(id=meta.id, length_T=new_len, changepoint_nu=nu))
-        values.append(vals[:new_len])
-    return LabeledDataset(
-        metas=metas,
-        values=values,
+    draws = np.array([_draw_length(_seq_rng(seed, i, stream=_TRUNCATE_STREAM), length_law)
+                      for i in range(len(dataset))], dtype=np.int64)
+    lengths = np.minimum(draws, dataset.lengths)
+    return LabeledDataset.from_sequences(
+        dataset.ids,
+        [v[:n] for v, n in zip(dataset.values, lengths.tolist())],
+        np.where(dataset.nu >= lengths, INF, dataset.nu),
         provenance=dataset.provenance,
-        clamped_truncations=clamped,
+        clamped_truncations=int(np.count_nonzero(draws > lengths)),
     )
 
 
-def _jsonl_lines(dataset: LabeledDataset):
-    for meta, vals in zip(dataset.metas, dataset.values):
-        arr = np.asarray(vals)
-        obj = {
-            "id": meta.id,
-            "values": arr.tolist(),
-            "nu": None if meta.changepoint_nu == INF else int(meta.changepoint_nu),
-        }
-        yield json.dumps(obj, separators=(",", ":"))
-
-
 def save_jsonl(dataset: LabeledDataset, path, sidecar: bool = True) -> None:
-    with open(path, "w") as fh:
-        for line in _jsonl_lines(dataset):
-            fh.write(line)
+    with open(path, "w", encoding="utf-8") as fh:
+        for seq_id, vals, nu in zip(dataset.ids, dataset.values, dataset.nu.tolist()):
+            obj = {"id": seq_id, "values": vals.tolist(), "nu": None if nu == INF else int(nu)}
+            fh.write(json.dumps(obj, separators=(",", ":")))
             fh.write("\n")
     if sidecar and isinstance(dataset.provenance, SimSpec):
-        with open(f"{path}.meta.json", "w") as fh:
+        with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(dataset.provenance.to_json(), fh, indent=2)
             fh.write("\n")
 

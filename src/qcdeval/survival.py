@@ -70,7 +70,7 @@ class StepSurvivalCurve:
     def to_csv(self, path) -> None:
         """Export as CSV with columns (t, S, n_at_risk, d), with a leading
         (0, 1, n, 0) row."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "S", "n_at_risk", "d"])
             writer.writerow([0.0, 1.0, self.n_samples, 0])
@@ -162,17 +162,20 @@ def _product_limit(times: np.ndarray, events: np.ndarray):
     return t, drop, at_risk, deaths, surv
 
 
-def _steps(drops: np.ndarray, surv: np.ndarray, upper_limit: float):
-    """Intervals of step curves on [0, upper_limit].
-
-    ``drops`` and ``surv`` are (rows, k) drop times below the limit and the
-    survival from each on; the curve is 1 before the first drop. Returns the
-    (rows, k + 1) left ends, right ends and curve values of the intervals.
-    """
-    rows = drops.shape[0]
-    lefts = np.concatenate((np.zeros((rows, 1)), drops), axis=1)
-    rights = np.concatenate((drops, np.full((rows, 1), upper_limit)), axis=1)
-    s_vals = np.concatenate((np.ones((rows, 1)), surv), axis=1)
+def _intervals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: float):
+    """Left ends, right ends and values of the intervals of step curves on
+    [0, a], row after row in flat arrays. Row r of the (rows, n) inputs
+    drops to ``surv[r, j]`` at ``t[r, j]`` where ``drop[r, j]`` is set (only
+    below a), and is 1 before; its k drops close the interval at flat
+    position j + r and open the one at j + r + 1, k + 1 in all."""
+    at = np.flatnonzero(drop)
+    closes = at // drop.shape[1]
+    closes += np.arange(at.size)
+    rights = np.full(drop.shape[0] + at.size, a)
+    lefts = np.zeros_like(rights)
+    s_vals = np.ones_like(rights)
+    rights[closes] = lefts[closes + 1] = t.ravel()[at]
+    s_vals[closes + 1] = surv.ravel()[at]
     return lefts, rights, s_vals
 
 
@@ -210,10 +213,8 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
     """
     a = _checked_limit(upper_limit)
 
-    k = int(np.sum(curve.drop_times < a))
-    lefts, rights, s_vals = _steps(
-        curve.drop_times[None, :k], curve.survival_values[None, :k], a
-    )
+    drops = curve.drop_times[None]
+    lefts, rights, s_vals = _intervals(drops, drops < a, curve.survival_values[None], a)
     value = float(np.sum(s_vals * (rights - lefts)))
     second_moment = float(np.sum(s_vals * (rights**2 - lefts**2)))
     variance = second_moment - value**2
@@ -263,18 +264,9 @@ def _rmst_rows(times: np.ndarray, events: np.ndarray, a: float) -> np.ndarray:
     counts = drop.sum(axis=1)
 
     # The k + 1 terms s * (right - left) of a row with k drops below a are
-    # the terms rmst sums, laid out row after row in one flat array: drop j
-    # of the block, in row r, closes the interval at position j + r and
-    # opens the one at j + r + 1.
-    at = np.flatnonzero(drop)
-    closes = at // drop.shape[1]
-    closes += np.arange(at.size)
-    rights = np.full(counts.size + at.size, a)
-    lefts = np.zeros_like(rights)
-    s_vals = np.ones_like(rights)
-    rights[closes] = lefts[closes + 1] = t.ravel()[at]
-    s_vals[closes + 1] = surv.ravel()[at]
-    del t, drop, surv, at, closes
+    # the terms rmst sums.
+    lefts, rights, s_vals = _intervals(t, drop, surv, a)
+    del t, drop, surv
     terms = s_vals * (rights - lefts)
     del lefts, rights, s_vals
     first = np.cumsum(counts + 1) - (counts + 1)

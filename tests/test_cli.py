@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcdeval
 from qcdeval.cli import (
     CliError,
     main,
@@ -653,6 +659,18 @@ class TestSpecAndOracleManifest:
         assert f"simulation spec is missing key '{missing}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("law", [["fixed", 2.5], ["uniform", 1.5, 3.7], ["fixed", math.inf]])
+    def test_simulate_non_whole_length_exit_2(self, tmp_path, capsys, spec_file, law):
+        # Each ran before: 2.5 wrote 2-frame sequences, (1.5, 3.7) drew
+        # lengths below lo, and inf failed with a traceback (exit 1).
+        spec = json.loads(spec_file.read_text())
+        spec["length_law"] = law  # inf is written as Infinity
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "d.jsonl"
+        assert main(["simulate", "--spec", str(spec_file), "--out", str(out)]) == 2
+        assert "needs whole lengths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_failure_leaves_no_manifest(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(
@@ -797,3 +815,56 @@ class TestOnePipeline:
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "o.out.manifest.json").read_text())
         assert manifest["command"] == command and out.exists()
+
+
+SRC = Path(qcdeval.__file__).resolve().parents[1]
+C_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+def _python(*args, env=None):
+    """Run ``python *args`` on this source tree, with ``env`` set."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path, **(env or {})})
+
+
+class TestTextEncoding:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_data_read_as_utf8_in_the_c_locale(self, tmp_path, fmt):
+        data = tmp_path / f"d.{fmt}"
+        text = ('{"id": "séq", "values": [0.5, 1.5, 2.5], "nu": 1}\n' if fmt == "jsonl"
+                else "séq,1,0.5,1.5,2.5\n")
+        data.write_bytes(text.encode("utf-8"))
+        code = ("import json, logging, sys; from qcdeval.harness import ingest; "
+                "logging.basicConfig(level=logging.INFO); "
+                f"print(json.dumps(ingest(sys.argv[1], fmt={fmt!r}).ids))")
+        for kind in ("miss", "hit"):
+            run = _python("-c", code, str(data), env=C_LOCALE)
+            assert run.returncode == 0, run.stderr
+            assert f"ingest cache {kind}" in run.stderr
+            assert json.loads(run.stdout) == ["séq"]
+
+    def test_every_subcommand_names_its_encoding(self, tmp_path, spec_file):
+        def out(name):
+            return ["--out", str(tmp_path / name)]
+
+        data = str(tmp_path / "d.jsonl")
+        gsr = ["--detector", "gsr", "--model", "gaussian:0,0.1,0.1"]
+        argvs = [
+            ["simulate", "--spec", str(spec_file), *out("d.jsonl")],
+            ["evaluate", "--data", data, *gsr, "--threshold", "20", *out("e.json")],
+            ["curve", "--data", data, *gsr, "--thresholds", "1,10,100", *out("c.csv"),
+             "--svg", str(tmp_path / "c.svg")],
+            ["survival", "--data", data, *gsr, "--threshold", "20", *out("s.csv")],
+            ["oracle", *gsr, "--threshold", "5", "--reps", "200", "--horizon-cap", "10000",
+             *out("o.json")],
+            ["verify-bounds", "--family", "exp:1,unif:0,2", "--n", "5", "--a", "1",
+             "--reps", "2000", *out("v.csv")],
+        ]
+        code = ("import json, sys; from qcdeval.cli import main; "
+                "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+        run = _python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                      "-c", code, json.dumps(argvs))
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(argvs)
+        assert "EncodingWarning" not in run.stderr

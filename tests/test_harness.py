@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -173,7 +174,7 @@ def _uncached(monkeypatch):
     """Ingest as the program did before the cache: parse every time."""
     with monkeypatch.context() as m:
         m.setattr(harness, "_read_cache", lambda cache, key: None)
-        m.setattr(harness, "_write_cache", lambda cache, key, records, mode: None)
+        m.setattr(harness, "_write_cache", lambda cache, key, dataset, mode: None)
         yield
 
 
@@ -360,6 +361,44 @@ class TestIngestCache:
         assert reads == [True, True]
 
 
+class TestFlatSidecar:
+    def test_sidecar_with_line_numbers_hits(self, tmp_path, monkeypatch, caplog):
+        # The sidecar layout before the flat dataset: the same arrays plus
+        # each record's line number. Its key is unchanged, so it must hit.
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = _write_cache_input(tmp_path, "jsonl-2d", _cache_records("jsonl-2d"))
+        with _uncached(monkeypatch):
+            want = ingest(data)
+            parsed = harness._load(data, "jsonl")
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        with open(_sidecar(data), "wb") as fh:
+            np.savez(fh, key=np.array(harness._cache_key("jsonl", digest)), frames=parsed.frames,
+                     offsets=parsed.offsets, widths=parsed.widths, nu=parsed.nu,
+                     lines=np.arange(len(parsed), dtype=np.int64) + 1,
+                     ids=np.frombuffer(json.dumps(parsed.ids).encode(), np.uint8))
+        before = _sidecar(data).read_bytes()
+        caplog.clear()
+        assert_same_dataset(ingest(data), want)
+        assert _cache_lines(caplog) == ["ingest cache hit"]
+        assert _sidecar(data).read_bytes() == before
+
+    @pytest.mark.parametrize("kind", TestIngestCache.KINDS)
+    def test_hit_reads_the_sidecar_frames_without_copies(self, tmp_path, kind, monkeypatch):
+        records = [r for i, r in enumerate(_cache_records(kind)) if i not in (2, 3)]
+        data = _write_cache_input(tmp_path, kind, records)
+        fmt = "csv" if kind == "csv" else "jsonl"
+        miss = ingest(data, fmt=fmt)
+        # Nothing dropped or rejected: a hit builds no dataset from pieces.
+        monkeypatch.setattr(harness.LabeledDataset, "from_sequences", None)
+        hit = ingest(data, fmt=fmt)
+        assert hit.ingest_report.n_loaded == len(records) == 12
+        with np.load(_sidecar(data)) as z:
+            assert hit.frames.tobytes() == z["frames"].tobytes() == miss.frames.tobytes()
+        for vals in hit.values:
+            assert np.shares_memory(vals, hit.frames)
+        assert_same_dataset(hit, miss)
+
+
 class TestSweep:
     def cfg(self):
         return DetectorConfig(kind="gsr", threshold=1.0, model=GAUSS)
@@ -423,7 +462,7 @@ class TestSweep:
         )
         cfg = DetectorConfig(kind="cusum", threshold=1e12, model=model)
         assert len(sweep(counts, cfg, [1e12], ("km-arl",)).points) == 1
-        counts.values[3] = counts.values[3] + 0.5  # non-integer counts
+        counts.values[3][:] += 0.5  # non-integer counts, in the frame buffer
         with pytest.raises(ValueError) as err:
             sweep(counts, cfg, [1e12], ("km-arl",), workers=1)
         assert str(err.value) == (

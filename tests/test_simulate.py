@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcdeval.detectors import LikelihoodModel
-from qcdeval.metrics import INF, SequenceMeta
+from qcdeval.metrics import INF
 from qcdeval.simulate import (
     _TRUNCATE_STREAM,
     LabeledDataset,
@@ -48,6 +49,18 @@ class TestSimSpec:
             spec(with_change_fraction=1.5)
         with pytest.raises(ValueError):
             spec(changepoint_law=("none",), with_change_fraction=0.5)
+
+    @pytest.mark.parametrize("law", [("fixed", 2.5), ("uniform", 1.5, 3.7), ("uniform", 1.5, 4),
+                                     ("fixed", math.inf), ("uniform", 2, math.nan)])
+    def test_lengths_must_be_whole(self, law):
+        with pytest.raises(ValueError, match="needs whole lengths"):
+            spec(length_law=law)
+        with pytest.raises(ValueError, match="needs whole lengths"):
+            truncate(simulate(spec(n_sequences=2)), law)
+
+    def test_whole_float_lengths_draw_as_integers(self):
+        a = simulate(spec(length_law=("uniform", 5.0, 60.0)))
+        assert a.content_hash() == simulate(spec(length_law=("uniform", 5, 60))).content_hash()
 
     def test_json_round_trip(self):
         s = spec(changepoint_law=("geometric", 0.01))
@@ -170,14 +183,8 @@ class TestTruncate:
         assert out.clamped_truncations > 0
 
     def test_changepoint_reset(self):
-        ds = LabeledDataset(
-            metas=simulate(
-                spec(with_change_fraction=1.0, changepoint_law=("uniform",))
-            ).metas,
-            values=simulate(
-                spec(with_change_fraction=1.0, changepoint_law=("uniform",))
-            ).values,
-        )
+        sim = simulate(spec(with_change_fraction=1.0, changepoint_law=("uniform",)))
+        ds = LabeledDataset.from_sequences(sim.ids, sim.values, sim.nu)
         out = truncate(ds, ("fixed", 5), seed=0)
         for m in out.metas:
             assert m.length_T == 5
@@ -196,10 +203,8 @@ class TestPersistence:
 
     def test_hash_sees_ids_nu_values_and_shape(self):
         def dataset(ids=("a", "b"), nus=(3.0, INF), last=1.5, shape=(4,)):
-            metas = [SequenceMeta(id=i, length_T=4, changepoint_nu=nu)
-                     for i, nu in zip(ids, nus)]
             values = [np.arange(4.0).reshape(shape), np.array([0.0, 1.0, 2.0, last])]
-            return LabeledDataset(metas=metas, values=values)
+            return LabeledDataset.from_sequences(ids, values, nus)
 
         base = dataset().content_hash()
         assert dataset().content_hash() == base
@@ -219,3 +224,65 @@ class TestPersistence:
         save_jsonl(ds, path)
         first = json.loads(path.read_text().splitlines()[0])
         assert first["nu"] is None
+
+
+def _loop_hash(ids, values, nus):
+    """The content hash as a loop over sequences: a JSON header, then a copy
+    of the frames' bytes."""
+    h = hashlib.sha256()
+    for seq_id, vals, nu in zip(ids, values, nus):
+        arr = np.asarray(vals, dtype="<f8")
+        h.update(json.dumps([seq_id, float(nu), list(arr.shape)]).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _pieces(case):
+    rng = np.random.default_rng(11)
+    ids, nus = ["a", "b", "c"], [2.0, INF, 0.0]
+    if case == "empty":
+        return [], [], []
+    if case == "non-ascii ids":
+        ids = ["séquence-π", "日本", "tail\x00"]
+    shapes = {"(T, 1)": [(5, 1), (1, 1), (9, 1)], "(T, 3)": [(5, 3), (1, 3), (9, 3)],
+              "mixed": [(5,), (1, 3), (9, 1)]}.get(case, [(5,), (1,), (9,)])
+    values = [rng.normal(size=shape) for shape in shapes]
+    if case == "-0.0":
+        values[0][[0, 3]] = -0.0
+    return ids, values, nus
+
+
+class TestFlatLayout:
+    CASES = ("1-D", "(T, 1)", "(T, 3)", "mixed", "-0.0", "non-ascii ids", "empty")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_columns_and_hash_match_the_sequences(self, case):
+        ids, values, nus = _pieces(case)
+        ds = LabeledDataset.from_sequences(ids, values, nus)
+        assert ds.content_hash() == _loop_hash(ids, values, nus)
+        assert len(ds) == len(ds.ids) == len(ds.nu) == len(ds.widths) == ds.offsets.size - 1
+        assert ds.lengths.tolist() == [v.shape[0] for v in values]
+        assert [m.changepoint_nu for m in ds.metas] == nus
+        for got, want in zip(ds.values, values, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, ds.frames)
+
+    def test_hash_sees_the_sign_of_zero(self):
+        ids, values, nus = _pieces("-0.0")
+        plus = [np.abs(v) if i == 0 else v for i, v in enumerate(values)]
+        assert (LabeledDataset.from_sequences(ids, values, nus).content_hash()
+                != LabeledDataset.from_sequences(ids, plus, nus).content_hash())
+
+    def test_seeded_hashes_do_not_change(self):
+        # Recorded with one array per sequence; the flat columns must give
+        # the same bytes.
+        gauss = simulate(spec(length_law=("uniform", 5, 60), changepoint_law=("geometric", 0.05)))
+        counts = simulate(spec(model=POISSON, seed=7))
+        cut = truncate(gauss, ("uniform", 3, 40), seed=9)
+        assert gauss.content_hash() == (
+            "45097ad017f45bf899af8b2597745c1fb7573e9ad9890d3f620e2652c89e2216")
+        assert counts.content_hash() == (
+            "62339639bcafa940a04ab7df8aec967b007aae954603140ab6867e4842a1570f")
+        assert cut.content_hash() == (
+            "4c205c16cb6e73eec539bc2a9cf6432215ccb2b52a2a557cc455f867c774da07")
+        assert cut.clamped_truncations == 13
