@@ -6,8 +6,9 @@ The inputs are made like the benchmark's ``curve-gsr`` workload: Gaussian
 N(0, 0.1) -> N(0.1, 0.1) sequences of uniform(30, 300) frames, a uniform
 changepoint in 90% of them, seed 1, written with ``save_jsonl``; one input of
 1000 sequences and one of 20k. Each is run through the ``curve`` pipeline
-(GSR, grid ``1:1e6:40-log``, all five metrics, CSV and SVG) and the script
-records medians, in CPU-s, of these stages:
+(all five metrics, CSV and SVG) for each detector of ``DETECTORS`` (GSR on
+grid ``1:1e6:40-log``, EWMA at lambda 0.2 on grid ``0.5:5:40-log``) and the
+script records medians, in CPU-s, of these stages:
 
 * ``ingest_cold``: ``harness.ingest`` with no ingest-cache sidecar beside the
   file (a program without the cache parses every time);
@@ -22,12 +23,12 @@ records medians, in CPU-s, of these stages:
 It also records the process's peak RSS (``ru_maxrss``, MB of 2**20 bytes)
 after each input's runs; it only grows, so the 20k figure holds both.
 
-Every run stores a SHA-256 digest per input of the content hash, the ingest
-report and the CSV and SVG bytes. Within a run, the warm ingest must give the
-cold one's dataset and the staged CSV and SVG must equal those of the whole
-``curve`` call. When the output file already holds runs, a new run must
-reproduce their digests, or the script exits 1 and leaves the file as it
-was. To time another checkout of the program into the same file, point
+Every run stores a SHA-256 digest per input and detector of the content
+hash, the ingest report and the CSV and SVG bytes. Within a run, the warm
+ingest must give the cold one's dataset and the staged CSV and SVG must
+equal those of the whole ``curve`` call. When the output file already holds
+runs, a new run must reproduce their digests, or the script exits 1 and
+leaves the file as it was. To time another checkout of the program into the same file, point
 ``--src`` at its ``src`` directory:
 
     python scripts/bench_ingest.py --label change
@@ -58,7 +59,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SIZES = {"1k": (1_000, 15), "20k": (20_000, 5)}  # sequences, repeats
 SEED = 1
 MODEL_SPEC = "gaussian:0,0.1,0.1"
-GRID = "1:1e6:40-log"
+# The detectors timed, as their ``curve`` flags and threshold grids. EWMA is
+# here because no other committed benchmark runs it at K=40.
+DETECTORS = {
+    "gsr": (["--detector", "gsr", "--model", MODEL_SPEC], "1:1e6:40-log"),
+    "ewma": (["--detector", "ewma", "--ewma-lambda", "0.2"], "0.5:5:40-log"),
+}
 
 
 def _parse_args(argv):
@@ -96,7 +102,13 @@ def _sidecars(folder: Path):
     return [p for p in folder.iterdir() if p.name.startswith(".")]
 
 
-def _staged(qcdeval, data: Path, folder: Path, times: dict):
+def _curve_argv(detector: str, data: Path, folder: Path):
+    flags, grid = DETECTORS[detector]
+    return ["curve", "--data", str(data), *flags, "--thresholds", grid,
+            "--out", str(folder / "curve.csv"), "--svg", str(folder / "curve.svg")]
+
+
+def _staged(qcdeval, detector: str, data: Path, folder: Path, times: dict):
     """One pass of the curve pipeline, stage by stage; returns the cold
     dataset and the CSV and SVG bytes."""
     from qcdeval import harness, metrics
@@ -109,9 +121,10 @@ def _staged(qcdeval, data: Path, folder: Path, times: dict):
             or warm.ingest_report != cold.ingest_report):
         raise SystemExit(f"{data}: the warm ingest differs from the cold one")
     _, times["content_hash"] = _cpu(cold.content_hash)
-    config = harness.DetectorConfig(kind="gsr", threshold=None,
-                                    model=qcdeval.cli.parse_model(MODEL_SPEC))
-    grid = qcdeval.cli.parse_thresholds(GRID)
+    # The detector config that `qcdeval curve` builds from the same flags.
+    args = qcdeval.cli.build_parser().parse_args(_curve_argv(detector, data, folder))
+    config = qcdeval.cli._detector_config(args)
+    grid = qcdeval.cli.parse_thresholds(args.thresholds)
     (lengths, nu, taus), times["detect"] = _cpu(harness.alarm_columns, cold, config, grid)
 
     def estimates():
@@ -132,12 +145,9 @@ def _staged(qcdeval, data: Path, folder: Path, times: dict):
     return cold, (folder / "staged.csv").read_bytes(), (folder / "staged.svg").read_bytes()
 
 
-def _curve_op(qcdeval, data: Path, folder: Path):
-    argv = ["curve", "--data", str(data), "--detector", "gsr", "--model", MODEL_SPEC,
-            "--thresholds", GRID, "--out", str(folder / "curve.csv"),
-            "--svg", str(folder / "curve.svg")]
+def _curve_op(qcdeval, detector: str, data: Path, folder: Path):
     with contextlib.redirect_stdout(io.StringIO()):
-        rc, cpu = _cpu(qcdeval.cli.main, argv)
+        rc, cpu = _cpu(qcdeval.cli.main, _curve_argv(detector, data, folder))
     if rc != 0:
         raise SystemExit(f"curve exited {rc}")
     return cpu, (folder / "curve.csv").read_bytes(), (folder / "curve.svg").read_bytes()
@@ -168,27 +178,36 @@ def measure(args) -> dict:
     try:
         for size, (n, repeats) in SIZES.items():
             data = _input(qcdeval, folder, n)
-            runs = defaultdict(list)
-            for _ in range(repeats):
-                times = {}
-                dataset, csv_bytes, svg_bytes = _staged(qcdeval, data, folder, times)
-                times["curve_op"], op_csv, op_svg = _curve_op(qcdeval, data, folder)
-                if (op_csv, op_svg) != (csv_bytes, svg_bytes):
-                    raise SystemExit(f"{size}: the staged curve differs from `qcdeval curve`")
-                for stage, cpu in times.items():
-                    runs[stage].append(cpu)
-            digest = hashlib.sha256()
-            digest.update(dataset.content_hash().encode())
-            digest.update(repr(dataset.ingest_report).encode())
-            digest.update(csv_bytes + svg_bytes)
-            digests[size] = digest.hexdigest()
+            timed = {}
+            for detector in DETECTORS:
+                runs = defaultdict(list)
+                for _ in range(repeats):
+                    times = {}
+                    dataset, csv_bytes, svg_bytes = _staged(qcdeval, detector, data, folder,
+                                                            times)
+                    times["curve_op"], op_csv, op_svg = _curve_op(qcdeval, detector, data,
+                                                                  folder)
+                    if (op_csv, op_svg) != (csv_bytes, svg_bytes):
+                        raise SystemExit(f"{size}/{detector}: the staged curve differs "
+                                         "from `qcdeval curve`")
+                    for stage, cpu in times.items():
+                        runs[stage].append(cpu)
+                digest = hashlib.sha256()
+                digest.update(dataset.content_hash().encode())
+                digest.update(repr(dataset.ingest_report).encode())
+                digest.update(csv_bytes + svg_bytes)
+                digests[f"{size}/{detector}"] = digest.hexdigest()
+                timed[detector] = {
+                    "cpu_s_p50": {stage: _p50(xs) for stage, xs in runs.items()},
+                    "cpu_s_runs": {stage: [round(x, 4) for x in xs]
+                                   for stage, xs in runs.items()},
+                }
             inputs[size] = {
                 "sequences": n,
                 "input_bytes": data.stat().st_size,
                 "sidecar_bytes": sum(p.stat().st_size for p in _sidecars(folder)),
                 "repeats": repeats,
-                "cpu_s_p50": {stage: _p50(xs) for stage, xs in runs.items()},
-                "cpu_s_runs": {stage: [round(x, 4) for x in xs] for stage, xs in runs.items()},
+                **timed,
                 "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             }
             for p in folder.iterdir():
@@ -209,15 +228,16 @@ def main(argv=None) -> int:
     runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
     run = measure(args)
     for label, other in runs.items():
-        for size, digest in run["outputs_sha256"].items():
-            want = other["outputs_sha256"].get(size)
+        for key, digest in run["outputs_sha256"].items():
+            want = other["outputs_sha256"].get(key)
             if want is not None and want != digest:
-                print(f"{size}: outputs differ from run {label!r}", file=sys.stderr)
+                print(f"{key}: outputs differ from run {label!r}", file=sys.stderr)
                 return 1
     runs[args.label] = run
     args.out.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
     print(json.dumps({"label": args.label,
-                      **{size: inp["cpu_s_p50"] for size, inp in run["inputs"].items()}}))
+                      **{f"{size}/{detector}": inp[detector]["cpu_s_p50"]
+                         for size, inp in run["inputs"].items() for detector in DETECTORS}}))
     return 0
 
 

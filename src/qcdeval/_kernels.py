@@ -5,8 +5,8 @@ the same length, the first frame index at which the detector statistic
 reaches each of them, or -1 where no alarm is raised within the sequence
 (``detectors.alarm_frames`` maps scalar and shaped threshold grids onto
 this). The statistic is computed once per call, whatever the number of
-levels, and ``first_crossings`` reads every level's first alarm off its
-running maximum.
+levels; for GSR and CUSUM, ``first_crossings`` reads every level's first
+alarm off its running maximum.
 
 GSR and CUSUM compute their statistics from prefix sums, one block of BLOCK
 frames at a time. Each block restarts its sums at zero and carries the
@@ -20,9 +20,11 @@ depends on frames 0..t alone: alarms are causal bit for bit.
 Tie policy: GSR and CUSUM alarm once the statistic is within TIE_SLACK of the
 threshold (log R >= log h - TIE_SLACK, W >= h - TIE_SLACK), so an exact tie
 alarms whichever arithmetic reached it; the Monte-Carlo oracle uses the same
-slack. EWMA compares |Z - mu0| >= h * width with no slack, one comparison per
-threshold.
+slack. EWMA compares |Z - mu0| >= h * width with no slack for every level
+still without an alarm, one block of BLOCK frames at a time.
 """
+
+import itertools
 
 import numpy as np
 
@@ -90,17 +92,28 @@ def ewma_first_alarm(x, lam, threshold, burn_in, mu0, sigma0):
     # Z(-1) = mu0; Z(t) = lam x_t + (1-lam) Z(t-1); alarm when the deviation
     # from mu0 exceeds threshold times the exact (time-varying) control-limit
     # width sigma0 * sqrt(lam/(2-lam) * (1 - (1-lam)^(2(t+1)))).
-    from scipy.signal import lfilter
-
     x = np.ascontiguousarray(x, dtype=np.float64)
     levels = np.asarray(threshold, dtype=np.float64)
     # Track d = Z - mu0 so a constant sequence at mu0 stays at exactly zero
-    # deviation instead of accumulating rounding noise.
-    d, _ = lfilter([lam], [1.0, -(1.0 - lam)], x - mu0, zi=[0.0])
+    # deviation instead of accumulating rounding noise. The recursion
+    # d(t) = lam (x_t - mu0) + (1-lam) d(t-1) runs in Python floats, which
+    # round each product and the sum as an order-1 IIR filter does.
+    r = 1.0 - lam
+    u = (lam * (x - mu0)).tolist()
+    d = np.fromiter(itertools.accumulate(u, lambda z, v: v + r * z), np.float64, x.size)
     t = np.arange(x.size, dtype=np.float64)
-    width = sigma0 * np.sqrt(
-        lam / (2.0 - lam) * (1.0 - (1.0 - lam) ** (2.0 * (t + 1.0)))
-    )
+    width = sigma0 * np.sqrt(lam / (2.0 - lam) * (1.0 - r ** (2.0 * (t + 1.0))))
     dev = np.abs(d)
-    first = [first_crossings(dev >= h * width, [True], burn_in)[0] for h in levels]
-    return np.array(first, dtype=np.int64)
+    # Block by block from burn_in, the one-threshold comparison for every
+    # level that has not alarmed yet.
+    first = np.full(levels.size, -1, dtype=np.int64)
+    pending = np.arange(levels.size)
+    for s in range(burn_in, x.size, BLOCK):
+        hit = dev[s : s + BLOCK] >= levels[pending, None] * width[s : s + BLOCK]
+        i = hit.argmax(axis=1)
+        alarmed = hit[np.arange(pending.size), i]
+        first[pending[alarmed]] = s + i[alarmed]
+        pending = pending[~alarmed]
+        if not pending.size:
+            break
+    return first

@@ -14,8 +14,9 @@ and the two window detectors are model-free.
 All detectors are causal: the alarm time computed on a prefix never changes
 when the sequence is extended.
 
-GSR, CUSUM and EWMA scan through ``qcdeval._kernels``, and every detector
-reads its alarms off its statistic with ``_kernels.first_crossings``. GSR and
+GSR, CUSUM and EWMA scan through ``qcdeval._kernels``. EWMA compares each
+frame's deviation with every pending level; the others read their alarms off
+the statistic's running maximum with ``_kernels.first_crossings``. GSR and
 CUSUM compute their statistics from prefix sums over fixed blocks of frames,
 carrying log R or W across each block edge, so they stay within rounding of
 the per-frame recursion at every length. Both alarm once the statistic is
@@ -172,8 +173,11 @@ def _ewma_frames(values, config: DetectorConfig, levels):
     if x.size < config.burn_in:
         return _kernels.first_crossings(x[:0], levels)  # no frame alarms
     head = x[: config.burn_in]
-    mu0 = float(head.mean())
-    sigma0 = float(head.std(ddof=1)) if head.size > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu0 = float(head.mean())
+        sigma0 = float(head.std(ddof=1)) if head.size > 1 else 0.0
+    if not (math.isfinite(mu0) and math.isfinite(sigma0)):
+        raise ValueError(f"ewma burn-in mean {mu0} or sd {sigma0} is not finite")
     if sigma0 == 0.0:
         sigma0 = _EPS  # degenerate-scale guard: any deviation alarms
     return _kernels.ewma_first_alarm(

@@ -149,6 +149,21 @@ class TestSubcommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "head", [[-1.5e308, 0.5e308, -1e308, 0.0], [1e200, -1e200, 0.0, 1.0]], ids=["mean", "sd"]
+    )
+    def test_ewma_overflowing_burn_in_exit_2(self, tmp_path, capsys, head):
+        # Finite frames whose burn-in mean or sd overflows float64: the control
+        # limits would not be finite, and the sequence would never alarm.
+        data = tmp_path / "d.jsonl"
+        rows = [{"id": "a", "values": [0.0, 1.0, 0.0, 1.0, 9.0], "nu": None},
+                {"id": "b", "values": head + [0.0, 1e300], "nu": None}]
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code = main(["evaluate", "--data", str(data), "--detector", "ewma", "--burn-in", "4",
+                     "--threshold", "3", "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "sequence 'b': ewma burn-in mean" in capsys.readouterr().err
+
     def test_curve_and_svg(self, tmp_path, data_file):
         out = tmp_path / "curve.csv"
         svg = tmp_path / "curve.svg"
@@ -868,3 +883,15 @@ class TestTextEncoding:
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(argvs)
         assert "EncodingWarning" not in run.stderr
+
+
+def test_ewma_curve_leaves_scipy_unimported(tmp_path, data_file):
+    # scipy is a test dependency only; the program runs on numpy alone.
+    argv = ["curve", "--data", str(data_file), "--detector", "ewma",
+            "--thresholds", "0.5:5:8-log", "--out", str(tmp_path / "c.csv"),
+            "--svg", str(tmp_path / "c.svg")]
+    code = ("import json, sys; from qcdeval.cli import main; "
+            "assert main(json.loads(sys.argv[1])) == 0; "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    run = _python("-c", code, json.dumps(argv))
+    assert run.returncode == 0, run.stderr

@@ -51,18 +51,23 @@ def cusum_path(llr):
     return out
 
 
-def ewma_reference(x, lam, threshold, burn_in, mu0, sigma0):
-    n = len(x)
-    d = 0.0
-    decay, decay_pow = (1.0 - lam) ** 2, 1.0
-    for t in range(n):
-        d = lam * (x[t] - mu0) + (1.0 - lam) * d
-        decay_pow *= decay
-        if t >= burn_in:
-            width = sigma0 * math.sqrt(lam / (2.0 - lam) * (1.0 - decay_pow))
-            if abs(d) >= threshold * width:
-                return t
-    return -1
+def ewma_path(x, lam, mu0, sigma0):
+    """|d(t)|, with d = Z - mu0 stepped one frame at a time, and the control
+    limit width(t) in the kernel's closed form."""
+    d, dev = 0.0, []
+    for v in x:
+        d = lam * (v - mu0) + (1.0 - lam) * d
+        dev.append(abs(d))
+    t = np.arange(len(x), dtype=np.float64)
+    width = sigma0 * np.sqrt(lam / (2.0 - lam) * (1.0 - (1.0 - lam) ** (2.0 * (t + 1.0))))
+    return np.array(dev), width
+
+
+def ewma_reference(x, lam, levels, burn_in, mu0, sigma0):
+    """First frame t >= burn_in with |d(t)| >= h * width(t), for each level h."""
+    dev, width = ewma_path(x, lam, mu0, sigma0)
+    hits = [np.flatnonzero(dev[burn_in:] >= h * width[burn_in:]) for h in levels]
+    return [int(i[0]) + burn_in if i.size else -1 for i in hits]
 
 
 def first_at_or_above(path, level):
@@ -131,19 +136,30 @@ def test_random_thresholds_match_reference():
 
 
 def test_ewma_matches_reference():
+    # Each grid holds the ratio |d| / width at sampled frames with both of its
+    # float neighbours, where h * width rounds either side of |d|, and levels
+    # at the ends of the float range. The lengths reach past one BLOCK, and a
+    # spike on the last or first frame of the scan's first block puts an
+    # alarm there.
+    edge = [0.0, -0.0, 5e-324, 1e-320, 1e300, math.inf, -math.inf]
     rng = np.random.default_rng(2)
-    for _ in range(300):
-        n = int(rng.integers(2, 80))
+    for case in range(300):
+        n = [int(rng.integers(2, 80)), 255, 256, 257, 600][case % 5]
         x = rng.normal(0.0, 1.0, n)
         burn_in = int(rng.integers(1, max(2, n)))
+        spike = min(n - 1, burn_in + _kernels.BLOCK - int(rng.integers(0, 2)))
+        x[spike] += 8.0
         lam = float(rng.uniform(0.05, 1.0))
-        thr = float(rng.uniform(0.5, 4.0))
         mu0 = float(x[:burn_in].mean())
         s0 = float(x[:burn_in].std(ddof=1)) if burn_in > 1 else 0.0
         s0 = s0 or np.finfo(float).eps
-        assert _kernels.ewma_first_alarm(x, lam, [thr], burn_in, mu0, s0).tolist() == [
-            ewma_reference(x, lam, thr, burn_in, mu0, s0)
-        ]
+        dev, width = ewma_path(x, lam, mu0, s0)
+        ratio = (dev / width)[[*rng.integers(burn_in, n, 4), spike]]
+        grid = [*ratio, *np.nextafter(ratio, math.inf), *np.nextafter(ratio, -math.inf), *edge,
+                float(rng.uniform(0.5, 4.0))]
+        assert _kernels.ewma_first_alarm(x, lam, grid, burn_in, mu0, s0).tolist() == (
+            ewma_reference(x, lam, grid, burn_in, mu0, s0)
+        )
 
 
 def test_empty_sequences_never_alarm():
