@@ -6,9 +6,9 @@ The inputs are made like the benchmark's ``curve-gsr`` workload: Gaussian
 N(0, 0.1) -> N(0.1, 0.1) sequences of uniform(30, 300) frames, a uniform
 changepoint in 90% of them, seed 1, written with ``save_jsonl``; one input of
 1000 sequences and one of 20k. Each is run through the ``curve`` pipeline
-(all five metrics, CSV and SVG) for each detector of ``DETECTORS`` (GSR on
-grid ``1:1e6:40-log``, EWMA at lambda 0.2 on grid ``0.5:5:40-log``) and the
-script records medians, in CPU-s, of these stages:
+(all five metrics, CSV and SVG) for each detector of ``DETECTORS`` (GSR and
+CUSUM on grid ``1:1e6:40-log``, EWMA at lambda 0.2 on grid ``0.5:5:40-log``)
+and the script records medians, in CPU-s, of these stages:
 
 * ``ingest_cold``: ``harness.ingest`` with no ingest-cache sidecar beside the
   file (a program without the cache parses every time);
@@ -59,10 +59,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SIZES = {"1k": (1_000, 15), "20k": (20_000, 5)}  # sequences, repeats
 SEED = 1
 MODEL_SPEC = "gaussian:0,0.1,0.1"
-# The detectors timed, as their ``curve`` flags and threshold grids. EWMA is
-# here because no other committed benchmark runs it at K=40.
+# The detectors timed, as their ``curve`` flags and threshold grids. CUSUM
+# and EWMA are here because no other committed benchmark runs them at K=40.
 DETECTORS = {
     "gsr": (["--detector", "gsr", "--model", MODEL_SPEC], "1:1e6:40-log"),
+    "cusum": (["--detector", "cusum", "--model", MODEL_SPEC], "1:1e6:40-log"),
     "ewma": (["--detector", "ewma", "--ewma-lambda", "0.2"], "0.5:5:40-log"),
 }
 

@@ -14,14 +14,13 @@ and the two window detectors are model-free.
 All detectors are causal: the alarm time computed on a prefix never changes
 when the sequence is extended.
 
-GSR, CUSUM and EWMA scan through ``qcdeval._kernels``. EWMA compares each
-frame's deviation with every pending level; the others read their alarms off
-the statistic's running maximum with ``_kernels.first_crossings``. GSR and
-CUSUM compute their statistics from prefix sums over fixed blocks of frames,
-carrying log R or W across each block edge, so they stay within rounding of
-the per-frame recursion at every length. Both alarm once the statistic is
-within 1e-12 of the threshold, so an exact tie alarms whatever arithmetic
-reached it; the Monte-Carlo oracle applies the same slack.
+``scan_table(dataset, config, levels)`` is ``scan`` of every sequence of a
+dataset. GSR and CUSUM run it as one blocked kernel over the frame buffer
+(``qcdeval._kernels``), from prefix sums over fixed blocks of frames that
+carry log R or W across each block edge, so they stay within rounding of the
+per-frame recursion at every length. Both alarm once the statistic is within
+1e-12 of the threshold, as the Monte-Carlo oracle does. EWMA and the window
+detectors scan one sequence at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ __all__ = [
     "run_detector",
     "detector_levels",
     "scan",
+    "scan_table",
     "alarm_frames",
     "DETECTOR_KINDS",
 ]
@@ -249,6 +249,50 @@ def scan(values, config: DetectorConfig, levels) -> np.ndarray:
     """First alarm frame at each of the 1-D ``levels`` (-1 for none), from one
     statistic; each equals that of a run at its level alone, ties included."""
     return _FRAMES[config.kind](values, config, levels)
+
+
+def _scan_one(seq_id, values, config: DetectorConfig, levels):
+    try:
+        return scan(values, config, levels)
+    except ValueError as exc:
+        raise ValueError(f"sequence {seq_id!r}: {exc}") from exc
+
+
+_CHECK_FRAMES = 1 << 16  # frames per slice of the Poisson frame check
+
+
+def _first_rejected(dataset, model: LikelihoodModel) -> int:
+    """Index of the first sequence ``scan`` rejects for GSR or CUSUM (or len):
+    two or more columns, or a negative or non-integer Poisson frame."""
+    wide = np.flatnonzero(dataset.widths >= 2)
+    first = int(wide[0]) if wide.size else len(dataset)
+    if model.kind == "poisson":
+        x = dataset.frames[: dataset.offsets[first]]
+        for a in range(0, x.size, _CHECK_FRAMES):
+            part = x[a : a + _CHECK_FRAMES]
+            bad = np.flatnonzero((part < 0) | (part != np.floor(part)))
+            if bad.size:
+                return int(np.searchsorted(dataset.offsets, a + bad[0], "right")) - 1
+    return first
+
+
+def scan_table(dataset, config: DetectorConfig, levels) -> np.ndarray:
+    """First alarm frame of every sequence of a ``LabeledDataset`` (rows, in
+    dataset order) at each of the 1-D ``levels`` (-1 for none), equal row for
+    row to ``scan``. The first sequence the detector rejects raises
+    ``ValueError("sequence '<id>': <scan's message>")``."""
+    if config.kind not in ("gsr", "cusum"):
+        table = np.empty((len(dataset), np.size(levels)), dtype=np.int64)
+        for row, (seq_id, values) in enumerate(zip(dataset.ids, dataset.values)):
+            table[row] = _scan_one(seq_id, values, config, levels)
+        return table
+    row = _first_rejected(dataset, config.model)
+    if row < len(dataset):
+        _scan_one(dataset.ids[row], dataset.values[row], config, levels)  # raises
+    llr = config.model.llr
+    if config.kind == "gsr":
+        return _kernels.gsr_alarm_table(dataset.frames, dataset.offsets, levels, config.omega, llr)
+    return _kernels.cusum_alarm_table(dataset.frames, dataset.offsets, levels, llr)
 
 
 def alarm_frames(values, config: DetectorConfig, thresholds):

@@ -8,8 +8,8 @@ A dataset is one layout from file to scan: the flat columns of
 ``simulate.LabeledDataset`` (ids, changepoints, one float64 frame buffer with
 offsets and widths). Every run of a detector over a dataset goes through
 ``alarm_columns``: the grid becomes detector levels once
-(``detectors.detector_levels``), each sequence is scanned once for all of
-them (``detectors.scan``), and the dataset's lengths and changepoints are
+(``detectors.detector_levels``), the dataset is scanned once for all of them
+(``detectors.scan_table``), and the dataset's lengths and changepoints are
 read as float columns. The result is the (lengths, nu, tau) triple the
 metrics read, with tau a (sequences x thresholds) table of first alarms (inf
 for no alarm). ``sweep`` computes every metric at every threshold from it
@@ -22,9 +22,10 @@ the SHA-256 of the file's bytes, and loads them from there while the bytes
 match. The sidecar never changes a result, a count or a manifest.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
-byte-identical CSV. Sequences are scanned one after the other in dataset
-order. A detector that rejects a sequence (``ValueError``) fails the whole
-run, naming the sequence id: a crash is never counted as a censored run.
+byte-identical CSV: a sequence's first alarms do not depend on the other
+sequences of the dataset. A detector that rejects a sequence (``ValueError``)
+fails the whole run, naming the first such sequence in dataset order: a
+crash is never counted as a censored run.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from itertools import compress
 
 import numpy as np
 
-from .detectors import DetectorConfig, detector_levels, scan
+from .detectors import DetectorConfig, detector_levels, scan_table
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
 from .metrics import INF, DetectionOutcome, SequenceMeta, estimate
@@ -308,25 +309,12 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     return dataset
 
 
-def _alarm_table(dataset: LabeledDataset, config: DetectorConfig, thresholds):
-    """First alarm frame of every sequence (rows, in dataset order) at every
-    threshold of the grid (columns), -1 for no alarm."""
-    levels = detector_levels(config, thresholds)
-    table = np.empty((len(dataset), levels.size), dtype=np.int64)
-    for row, (seq_id, values) in enumerate(zip(dataset.ids, dataset.values)):
-        try:
-            table[row] = scan(values, config, levels)
-        except ValueError as exc:
-            raise ValueError(f"sequence {seq_id!r}: {exc}") from exc
-    return table
-
-
 def alarm_columns(dataset: LabeledDataset, config: DetectorConfig, thresholds):
     """The (lengths, nu, tau) columns of the detector on the dataset, in
     dataset order: float lengths and changepoints (inf for no change), and a
     (sequences x thresholds) float table of first alarms (inf for no alarm),
-    from one scan per sequence (``config.threshold`` is not used)."""
-    frames = _alarm_table(dataset, config, thresholds)
+    from one scan of the dataset (``config.threshold`` is not used)."""
+    frames = scan_table(dataset, config, detector_levels(config, thresholds))
     return dataset.lengths.astype(np.float64), dataset.nu, np.where(frames < 0, INF, frames)
 
 
@@ -360,7 +348,7 @@ def sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Evaluate the requested metrics at every threshold of the grid, from one
-    detector pass per sequence (``config.threshold`` is not used).
+    detector scan of the dataset (``config.threshold`` is not used).
     ``workers`` has no effect; it stays because the acceptance tests pass
     it."""
     thresholds = tuple(float(t) for t in thresholds)

@@ -1,5 +1,7 @@
 """alarm_frames: one scan of a sequence gives its first alarm at every
-threshold, equal to a run of run_detector at each threshold alone.
+threshold, equal to a run of run_detector at each threshold alone; and
+scan_table gives every sequence's row of a dataset, equal to scan of that
+sequence alone.
 
 Thresholds set to a statistic's own per-frame values make exact ties, which
 the one-scan path must resolve as the one-threshold runs do, across the
@@ -13,16 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcdeval import _kernels
 from qcdeval.detectors import (
     DetectorConfig,
     LikelihoodModel,
     alarm_frames,
     detector_levels,
     run_detector,
+    scan,
+    scan_table,
 )
 from qcdeval.harness import run_all, sweep
 from qcdeval.metrics import INF, METRIC_NAMES, compute_metric
-from qcdeval.simulate import SimSpec, simulate
+from qcdeval.simulate import LabeledDataset, SimSpec, simulate
 
 from test_kernels import MODELS, cusum_path, frames, gsr_path
 
@@ -227,3 +232,101 @@ def test_detector_levels(cfg, scale):
     else:
         want = [-1.0, 0.0, 2.5, scale]
     assert levels.tolist() == want
+
+
+def dataset_of(rows):
+    return LabeledDataset.from_sequences(
+        [f"s{i}" for i in range(len(rows))], rows, [INF] * len(rows)
+    )
+
+
+def row_by_row(ds, cfg, levels):
+    """The per-sequence reference of scan_table."""
+    rows = [scan(v, cfg, levels) for v in ds.values]
+    return np.stack(rows) if rows else np.empty((0, levels.size), dtype=np.int64)
+
+
+SCAN_TABLE_CASES = [
+    (kind, omega, model)
+    for kind, omega in (("gsr", 0.0), ("gsr", 3.0), ("gsr", 1e-300), ("cusum", 0.0))
+    for model in ("gauss0-1", "poisson1-3")
+]
+
+
+@pytest.mark.parametrize(
+    "kind,omega,model_name",
+    SCAN_TABLE_CASES,
+    ids=["-".join(map(str, c)) for c in SCAN_TABLE_CASES],
+)
+def test_scan_table_equals_per_sequence_scan(kind, omega, model_name):
+    # Lengths on both sides of one and two blocks, length-1 sequences, frames
+    # scaled up to 1e307 (integers still, for Poisson), constant runs that
+    # make exact ties, 2-D sequences of one column, and grids that are
+    # unsorted, repeat levels and hold 0, negatives and inf, plus thresholds
+    # at a sequence's own statistic.
+    model = MODELS[model_name]
+    extra = {"omega": omega} if kind == "gsr" else {}
+    cfg = DetectorConfig(kind=kind, threshold=None, model=model, **extra)
+    rng = np.random.default_rng(SCAN_TABLE_CASES.index((kind, omega, model_name)))
+    block = _kernels.BLOCK
+    lengths = [1, 2, 3, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1, 600]
+    with np.errstate(over="ignore", invalid="ignore"):  # frames near 1e307
+        for case in range(25):
+            rows = []
+            for _ in range(int(rng.integers(0, 30))):
+                n = int(rng.choice([*lengths, int(rng.integers(1, 700))]))
+                if model.kind == "poisson":
+                    x = rng.poisson(rng.choice([model.lam0, model.lam1]), n).astype(float)
+                else:
+                    x = rng.normal(rng.choice([model.mu0, model.mu1, 0.3]), 1.0, n)
+                x *= rng.choice([1.0, 1.0, 1.0, 1e100, 1e307])
+                if rng.random() < 0.3:
+                    a = int(rng.integers(0, n))
+                    x[a : a + int(rng.integers(1, 300))] = rng.choice([0.0, 1.0, 2.0])
+                rows.append(x[:, None] if rng.random() < 0.1 else x)
+            ds = dataset_of(rows)
+            grid = [*rng.choice([0.0, -1.0, 1e300, math.inf, 1.0], int(rng.integers(0, 5)))]
+            grid += [*(np.exp if kind == "gsr" else np.asarray)(rng.uniform(-1.0, 12.0, 30))]
+            if rows:
+                llr = model.llr(np.ravel(rows[int(rng.integers(0, len(rows)))]))
+                path = cusum_path(llr) if kind == "cusum" else np.exp(gsr_path(llr, omega))
+                grid += [*rng.choice(path[~np.isnan(path)], 10)]
+            grid += grid[: int(rng.integers(0, 4))]
+            levels = detector_levels(cfg, rng.permutation(grid))
+            got = scan_table(ds, cfg, levels)
+            want = row_by_row(ds, cfg, levels)
+            assert got.dtype == np.int64 and got.shape == (len(rows), levels.size)
+            np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
+
+
+def test_scan_table_names_first_rejected_sequence():
+    # Row 3 holds a non-integer count beyond the first block, past every
+    # alarm; row 5 is bivariate. Every row alarms at frame 0, so the scan
+    # itself never reaches row 3's bad frame: the check must.
+    poisson = MODELS["poisson1-3"]
+    levels = np.array([-1.0])
+    for kind in ("gsr", "cusum"):
+        cfg = DetectorConfig(kind=kind, threshold=None, model=poisson)
+
+        def error(rows):
+            with pytest.raises(ValueError) as err:
+                scan_table(dataset_of(rows), cfg, levels)
+            return str(err.value)
+
+        rows = [np.full(300, 2.0) for _ in range(7)]
+        rows[3] = np.concatenate((np.full(300, 2.0), [2.5]))
+        rows[5] = np.full((300, 2), 2.0)
+        rows[6] = np.full((300, 1), 2.0)  # one column: valid
+        want = "poisson model requires non-negative integer frames"
+        assert error(rows) == f"sequence 's3': {want}"
+        assert error([rows[0], np.array([2.0, -1.0]), *rows[2:]]) == f"sequence 's1': {want}"
+        rows[3] = rows[0]
+        assert error(rows) == f"sequence 's5': {kind} supports univariate sequences only"
+        del rows[5]
+        np.testing.assert_array_equal(scan_table(dataset_of(rows), cfg, levels), 0)
+
+
+def test_scan_table_of_empty_dataset():
+    for cfg, scale in DETECTORS:
+        levels = detector_levels(cfg, [scale, 2 * scale])
+        assert scan_table(dataset_of([]), cfg, levels).shape == (0, 2)

@@ -472,10 +472,10 @@ class TestSweep:
     def test_other_detector_errors_propagate(self, dataset, monkeypatch):
         import qcdeval.harness
 
-        def boom(values, config, levels):
+        def boom(dataset, config, levels):
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr(qcdeval.harness, "scan", boom)
+        monkeypatch.setattr(qcdeval.harness, "scan_table", boom)
         with pytest.raises(ZeroDivisionError, match="^boom$"):
             sweep(dataset, self.cfg(), [5.0], ("km-arl",))
 

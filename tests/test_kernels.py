@@ -168,6 +168,14 @@ def test_empty_sequences_never_alarm():
     assert _kernels.ewma_first_alarm(np.empty(0), 0.2, [1.0], 1, 0.0, 1.0).tolist() == [-1]
 
 
+def test_nan_statistic_reaches_only_minus_inf():
+    # Two llr of -inf make the GSR prefix form -inf + inf = NaN at frame 1,
+    # which reaches no level above -inf, as under a >= comparison.
+    with np.errstate(invalid="ignore"):
+        got = _kernels.gsr_first_alarm([-np.inf, -np.inf], [-np.inf, -5.0, np.inf], 0.0)
+    assert got.tolist() == [0, -1, -1]
+
+
 def test_causal_across_block_edges():
     """Cutting a sequence at, just before or just after a block edge never
     moves an alarm that lies inside the prefix, and never raises one the full
