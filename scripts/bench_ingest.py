@@ -5,31 +5,33 @@ cache.
 The inputs are made like the benchmark's ``curve-gsr`` workload: Gaussian
 N(0, 0.1) -> N(0.1, 0.1) sequences of uniform(30, 300) frames, a uniform
 changepoint in 90% of them, seed 1, written with ``save_jsonl``; one input of
-1000 sequences and one of 20k. Each is run through the ``curve`` pipeline
-(all five metrics, CSV and SVG) for each detector of ``DETECTORS`` (GSR and
-CUSUM on grid ``1:1e6:40-log``, EWMA at lambda 0.2 on grid ``0.5:5:40-log``)
-and the script records medians, in CPU-s, of these stages:
+1000 sequences and one of 20k. Each repeat, for each detector of
+``DETECTORS`` (GSR and CUSUM on grid ``1:1e6:40-log``, EWMA at lambda 0.2 on
+grid ``0.5:5:40-log``), makes two real ``qcdeval curve`` calls (all five
+metrics, CSV and SVG): a cold one, with the ingest-cache sidecar deleted
+first, then a warm one. The stages are the functions ``curve`` calls,
+wrapped in place by ``bench_common.Layers``, and the script records their
+medians in CPU-s:
 
-* ``ingest_cold``: ``harness.ingest`` with no ingest-cache sidecar beside the
-  file (a program without the cache parses every time);
-* ``ingest_warm``: ``harness.ingest`` again, with the sidecar the cold call
-  left (where the program writes one);
-* ``content_hash``, ``detect`` (``harness.alarm_columns``), ``metrics``
-  (``metrics.estimate`` for every threshold and metric) and ``emit``
-  (``emit_curve`` to CSV and to SVG);
-* ``curve_op``: one whole ``qcdeval curve`` call, sidecar present, as the
-  benchmark's ``curve-gsr`` operation runs it.
+* ``ingest_cold`` and ``ingest_warm``: ``cli.ingest`` in the cold and in the
+  warm call (a program without the cache parses both times);
+* from the warm call: ``content_hash`` (``LabeledDataset.content_hash``),
+  ``detect`` (``harness.alarm_columns``), ``metrics`` (``cli.sweep`` less
+  ``detect``) and ``emit`` (``cli.emit_curve``, to CSV and to SVG);
+* ``curve_op``: the whole warm call, as the benchmark's ``curve-gsr``
+  operation runs it.
 
-It also records the process's peak RSS (``ru_maxrss``, MB of 2**20 bytes)
-after each input's runs; it only grows, so the 20k figure holds both.
+Per input and detector it also records ``maxrss_mb``, the peak RSS (MB of
+2**20 bytes, the child's ``VmHWM``) of one warm ``curve`` in a fresh child
+process.
 
 Every run stores a SHA-256 digest per input and detector of the content
 hash, the ingest report and the CSV and SVG bytes. Within a run, the warm
-ingest must give the cold one's dataset and the staged CSV and SVG must
-equal those of the whole ``curve`` call. When the output file already holds
-runs, a new run must reproduce their digests, or the script exits 1 and
-leaves the file as it was. To time another checkout of the program into the same file, point
-``--src`` at its ``src`` directory:
+ingest must give the cold one's content hash and ingest report, and the two
+calls must write the same CSV and SVG bytes. When the output file already
+holds runs, a new run must reproduce their digests, or the script exits 1
+and leaves the file as it was. To time another checkout of the program into
+the same file, point ``--src`` at its ``src`` directory:
 
     python scripts/bench_ingest.py --label change
     python scripts/bench_ingest.py --label parent --src /path/to/parent/src
@@ -37,24 +39,20 @@ leaves the file as it was. To time another checkout of the program into the same
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import hashlib
 import io
-import json
 import os
-import platform
-import resource
 import shutil
-import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import bench_common
 
 SIZES = {"1k": (1_000, 15), "20k": (20_000, 5)}  # sequences, repeats
 SEED = 1
@@ -68,32 +66,17 @@ DETECTORS = {
 }
 
 
-def _parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, help="name of this run in the output file")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the qcdeval package to time (default: ./src)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_ingest.json")
-    return p.parse_args(argv)
-
-
-def _cpu(fn, *args):
-    gc.collect()
-    t0 = time.process_time()
-    result = fn(*args)
-    return result, time.process_time() - t0
-
-
-def _input(qcdeval, folder: Path, n: int) -> Path:
+def _input(folder: Path, n: int) -> Path:
     from qcdeval.detectors import LikelihoodModel
+    from qcdeval.simulate import SimSpec, save_jsonl, simulate
 
-    spec = qcdeval.simulate.SimSpec(
+    spec = SimSpec(
         model=LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1),
         n_sequences=n, length_law=("uniform", 30, 300), changepoint_law=("uniform",),
         with_change_fraction=0.9, seed=SEED,
     )
     path = folder / "data.jsonl"
-    qcdeval.simulate.save_jsonl(qcdeval.simulate.simulate(spec), path, sidecar=False)
+    save_jsonl(simulate(spec), path, sidecar=False)
     return path
 
 
@@ -109,99 +92,99 @@ def _curve_argv(detector: str, data: Path, folder: Path):
             "--out", str(folder / "curve.csv"), "--svg", str(folder / "curve.svg")]
 
 
-def _staged(qcdeval, detector: str, data: Path, folder: Path, times: dict):
-    """One pass of the curve pipeline, stage by stage; returns the cold
-    dataset and the CSV and SVG bytes."""
-    from qcdeval import harness, metrics
-
-    for p in _sidecars(folder):
-        p.unlink()
-    cold, times["ingest_cold"] = _cpu(harness.ingest, data)
-    warm, times["ingest_warm"] = _cpu(harness.ingest, data)
-    if (warm.content_hash() != cold.content_hash()
-            or warm.ingest_report != cold.ingest_report):
-        raise SystemExit(f"{data}: the warm ingest differs from the cold one")
-    _, times["content_hash"] = _cpu(cold.content_hash)
-    # The detector config that `qcdeval curve` builds from the same flags.
-    args = qcdeval.cli.build_parser().parse_args(_curve_argv(detector, data, folder))
-    config = qcdeval.cli._detector_config(args)
-    grid = qcdeval.cli.parse_thresholds(args.thresholds)
-    (lengths, nu, taus), times["detect"] = _cpu(harness.alarm_columns, cold, config, grid)
-
-    def estimates():
-        points = [
-            harness.CurvePoint(thr, {name: metrics.estimate(name, lengths, nu, tau)
-                                     for name in qcdeval.METRIC_NAMES})
-            for thr, tau in zip(grid, taus.T)
-        ]
-        return harness.SweepResult(points, t_max=harness.observation_bounds(cold)[0])
-
-    result, times["metrics"] = _cpu(estimates)
-
-    def emit():
-        harness.emit_curve(result, folder / "staged.csv")
-        harness.emit_curve(result, folder / "staged.svg", fmt="svg")
-
-    _, times["emit"] = _cpu(emit)
-    return cold, (folder / "staged.csv").read_bytes(), (folder / "staged.svg").read_bytes()
-
-
-def _curve_op(qcdeval, detector: str, data: Path, folder: Path):
+def _curve(cli, layers, call: str, detector: str, data: Path, folder: Path):
+    """One ``qcdeval curve`` call, its stages charged to ``call``; returns its
+    CPU-s and the CSV and SVG bytes."""
+    layers.label = call
+    gc.collect()
     with contextlib.redirect_stdout(io.StringIO()):
-        rc, cpu = _cpu(qcdeval.cli.main, _curve_argv(detector, data, folder))
+        t0 = time.process_time()
+        rc = cli.main(_curve_argv(detector, data, folder))
+        cpu = time.process_time() - t0
     if rc != 0:
         raise SystemExit(f"curve exited {rc}")
     return cpu, (folder / "curve.csv").read_bytes(), (folder / "curve.svg").read_bytes()
 
 
-def _p50(xs):
-    return round(statistics.median(xs), 5)
+# Runs ``qcdeval curve`` and prints the process's peak RSS (VmHWM, kB). The
+# child's rusage would not do: on Linux, exec records the spawning process's
+# peak RSS in the child's ``ru_maxrss``, so that figure is never below this
+# script's own peak.
+_CHILD = """import re, sys
+from qcdeval.cli import main
+rc = main(sys.argv[1:])
+print(re.search(r"VmHWM:\\s*(\\d+) kB", open("/proc/self/status").read())[1], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def _child_maxrss_mb(src: Path, detector: str, data: Path, folder: Path) -> float:
+    """Peak RSS of one ``qcdeval curve`` in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *_curve_argv(detector, data, folder)],
+                          cwd=folder, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"curve in a child process exited {proc.returncode}: {proc.stderr}")
+    return round(int(proc.stderr.split()[-1]) / 1024, 1)
 
 
 def measure(args) -> dict:
-    # Idle BLAS threads spin and would be counted as CPU time; set before
-    # numpy is first imported.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
+    bench_common.import_qcdeval(args.src)
+    from qcdeval import cli, harness, simulate
 
-    import qcdeval
-    import qcdeval.cli
-    import qcdeval.simulate
+    layers, kept = bench_common.Layers(), {}  # kept: (call, stage) -> result
 
-    if src not in Path(qcdeval.__file__).resolve().parents:
-        raise SystemExit(f"qcdeval was imported from {qcdeval.__file__}, not from {src}")
+    def keep(stage):
+        def observe(result, *args):
+            kept[layers.label, stage] = result
+        return observe
+
+    layers.wrap(cli, "ingest", "ingest", keep("ingest"))
+    layers.wrap(simulate.LabeledDataset, "content_hash", "content_hash", keep("content_hash"))
+    layers.wrap(harness, "alarm_columns", "detect")
+    layers.wrap(cli, "sweep", "sweep")
+    layers.wrap(cli, "emit_curve", "emit")
 
     inputs, digests = {}, {}
     folder = Path(tempfile.mkdtemp(prefix="bench_ingest_"))
     try:
         for size, (n, repeats) in SIZES.items():
-            data = _input(qcdeval, folder, n)
+            data = _input(folder, n)
             timed = {}
             for detector in DETECTORS:
                 runs = defaultdict(list)
                 for _ in range(repeats):
-                    times = {}
-                    dataset, csv_bytes, svg_bytes = _staged(qcdeval, detector, data, folder,
-                                                            times)
-                    times["curve_op"], op_csv, op_svg = _curve_op(qcdeval, detector, data,
-                                                                  folder)
-                    if (op_csv, op_svg) != (csv_bytes, svg_bytes):
-                        raise SystemExit(f"{size}/{detector}: the staged curve differs "
-                                         "from `qcdeval curve`")
+                    layers.cpu_s.clear()
+                    for p in _sidecars(folder):
+                        p.unlink()
+                    _, *cold_bytes = _curve(cli, layers, "cold", detector, data, folder)
+                    op, csv_bytes, svg_bytes = _curve(cli, layers, "warm", detector, data, folder)
+                    report = kept["warm", "ingest"].ingest_report
+                    if (kept["warm", "content_hash"] != kept["cold", "content_hash"]
+                            or report != kept["cold", "ingest"].ingest_report):
+                        raise SystemExit(f"{data}: the warm ingest differs from the cold one")
+                    if cold_bytes != [csv_bytes, svg_bytes]:
+                        raise SystemExit(f"{size}/{detector}: the cold and the warm curve "
+                                         "wrote different files")
+                    cold, warm = layers.cpu_s["cold"], layers.cpu_s["warm"]
+                    times = {"ingest_cold": cold["ingest"], "ingest_warm": warm["ingest"],
+                             "content_hash": warm["content_hash"], "detect": warm["detect"],
+                             "metrics": warm["sweep"] - warm["detect"], "emit": warm["emit"],
+                             "curve_op": op}
                     for stage, cpu in times.items():
                         runs[stage].append(cpu)
                 digest = hashlib.sha256()
-                digest.update(dataset.content_hash().encode())
-                digest.update(repr(dataset.ingest_report).encode())
+                digest.update(kept["warm", "content_hash"].encode())
+                digest.update(repr(report).encode())
                 digest.update(csv_bytes + svg_bytes)
                 digests[f"{size}/{detector}"] = digest.hexdigest()
                 timed[detector] = {
-                    "cpu_s_p50": {stage: _p50(xs) for stage, xs in runs.items()},
+                    "cpu_s_p50": {stage: bench_common.p50(xs) for stage, xs in runs.items()},
                     "cpu_s_runs": {stage: [round(x, 4) for x in xs]
                                    for stage, xs in runs.items()},
+                    "maxrss_mb": _child_maxrss_mb(args.src.resolve(), detector, data, folder),
                 }
             inputs[size] = {
                 "sequences": n,
@@ -209,15 +192,11 @@ def measure(args) -> dict:
                 "sidecar_bytes": sum(p.stat().st_size for p in _sidecars(folder)),
                 "repeats": repeats,
                 **timed,
-                "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             }
-            for p in folder.iterdir():
-                p.unlink()
     finally:
         shutil.rmtree(folder, ignore_errors=True)
     return {
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "machine": platform.machine()},
+        "machine": bench_common.machine(),
         "seed": SEED,
         "outputs_sha256": digests,
         "inputs": inputs,
@@ -225,21 +204,10 @@ def measure(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
-    run = measure(args)
-    for label, other in runs.items():
-        for key, digest in run["outputs_sha256"].items():
-            want = other["outputs_sha256"].get(key)
-            if want is not None and want != digest:
-                print(f"{key}: outputs differ from run {label!r}", file=sys.stderr)
-                return 1
-    runs[args.label] = run
-    args.out.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
-    print(json.dumps({"label": args.label,
-                      **{f"{size}/{detector}": inp[detector]["cpu_s_p50"]
-                         for size, inp in run["inputs"].items() for detector in DETECTORS}}))
-    return 0
+    return bench_common.main(
+        argv, __doc__, "BENCH_ingest.json", measure,
+        lambda run: {f"{size}/{detector}": inp[detector]["cpu_s_p50"]
+                     for size, inp in run["inputs"].items() for detector in DETECTORS})
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ workload makes, with the same parameters: ``true_arl_mc`` at threshold 126,
 ``true_add_mc`` at thresholds 60, 100, 200 and 400 under a geometric(0.001)
 changepoint (GSR, N(0, 0.1) -> N(0.1, 0.1), 20k replications each), and the
 twelve ``bias_bounds`` cells. The script runs one untimed op to fill caches,
-then one op per seed and repeat, and records medians of:
+then one op per seed and repeat, and records medians of the following; the
+layers are module functions wrapped in place by ``bench_common.Layers``:
 
 * end to end: CPU-s per op and per oracle call, and the minor page faults
   (``ru_minflt``) each call takes, which show allocator churn such as a heap
@@ -32,21 +33,15 @@ program into the same file, point ``--src`` at its ``src`` directory:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
-import json
-import os
-import platform
 import resource
 import statistics
 import sys
 import time
 import tracemalloc
 from collections import defaultdict
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import bench_common
 
 ARL = {"threshold": 126.0, "n_reps": 20_000, "horizon_cap": 20_000}
 ADD = {"thresholds": (60.0, 100.0, 200.0, 400.0), "law": ("geometric", 0.001),
@@ -60,42 +55,6 @@ CELLS = [(fam, event, censor, n, a)
          for n in BIAS["n"] for a in BIAS["a"]]
 
 
-def _parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True, help="name of this run in the output file")
-    p.add_argument("--src", type=Path, default=ROOT / "src",
-                   help="directory holding the qcdeval package to time (default: ./src)")
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_oracle.json")
-    return p.parse_args(argv)
-
-
-class Layers:
-    """Per-call CPU-s of wrapped module functions, charged to the oracle call
-    that is running."""
-
-    def __init__(self):
-        self.call = None
-        self.cpu_s = defaultdict(lambda: defaultdict(float))  # call -> layer -> s
-        self.draws = {}  # call -> frames drawn by _first_alarms
-
-    def wrap(self, module, name, layer):
-        fn = getattr(module, name)
-
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            t0 = time.process_time()
-            result = fn(*args, **kwargs)
-            self.cpu_s[self.call][layer] += time.process_time() - t0
-            if layer == "first_alarms":
-                # tau + 1 frames up to an alarm, horizon_cap without one
-                # (tau = -1).
-                tau, cap = result, args[3]
-                self.draws[self.call] = int((tau + 1).sum() + cap * (tau < 0).sum())
-            return result
-
-        setattr(module, name, timed)
-
-
 def _minflt():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -106,7 +65,7 @@ def _op(seed, oracle, model, DetectorConfig, layers):
     calls = {}
 
     def call(label, fn, *args, **kwargs):
-        layers.call = label
+        layers.label = label
         faults = _minflt()
         t0 = time.process_time()
         result = fn(*args, **kwargs)
@@ -148,28 +107,18 @@ def _traced_peaks_mb(oracle, seed) -> dict:
     return peaks
 
 
-def _p50(xs):
-    return round(statistics.median(xs), 5)
-
-
 def measure(args) -> dict:
-    # Idle BLAS threads spin and would be counted as CPU time; set before
-    # numpy is first imported.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
-
-    import qcdeval
+    bench_common.import_qcdeval(args.src)
     from qcdeval import oracle, survival
     from qcdeval.detectors import DetectorConfig, LikelihoodModel
 
-    if src not in Path(qcdeval.__file__).resolve().parents:
-        raise SystemExit(f"qcdeval was imported from {qcdeval.__file__}, not from {src}")
+    layers, draws = bench_common.Layers(), {}  # draws: call -> frames drawn by _first_alarms
 
-    layers = Layers()
-    layers.wrap(oracle, "_first_alarms", "first_alarms")
+    def count_draws(tau, model, detector, nus, horizon_cap, rng):
+        # tau + 1 frames up to an alarm, horizon_cap without one (tau = -1).
+        draws[layers.label] = int((tau + 1).sum() + horizon_cap * (tau < 0).sum())
+
+    layers.wrap(oracle, "_first_alarms", "first_alarms", count_draws)
     layers.wrap(survival, "_product_limit", "product_limit")
     layers.wrap(oracle, "rmst_km_batch", "rmst_km_batch")
     layers.wrap(oracle, "_bound_integrals", "quadrature")
@@ -195,8 +144,8 @@ def measure(args) -> dict:
                 per_call[label]["minflt"].append(faults)
                 for layer, s in layers.cpu_s[label].items():
                     per_call[label][layer + "_cpu_s"].append(s)
-                if label in layers.draws:
-                    per_call[label]["draws"].append(layers.draws[label])
+                if label in draws:
+                    per_call[label]["draws"].append(draws[label])
     # Read before the traced pass, whose bookkeeping would add to it.
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     traced_peaks = _traced_peaks_mb(oracle, SEEDS[0])
@@ -206,7 +155,7 @@ def measure(args) -> dict:
         row = {"call": label}
         for name, runs in metrics.items():
             counted = name in ("draws", "minflt")
-            row[name + "_p50"] = statistics.median(runs) if counted else _p50(runs)
+            row[name + "_p50"] = statistics.median(runs) if counted else bench_common.p50(runs)
         if "draws" in metrics:
             rates = [d / s for d, s in zip(metrics["draws"], metrics["first_alarms_cpu_s"])]
             row["draws_per_first_alarms_cpu_s_p50"] = round(statistics.median(rates))
@@ -215,13 +164,12 @@ def measure(args) -> dict:
         rows.append(row)
     quartiles = statistics.quantiles(op_s, n=4)
     return {
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "machine": platform.machine()},
+        "machine": bench_common.machine(),
         "seeds": list(SEEDS),
         "repeats": REPEATS,
         "outputs_sha256": digests,
         "warmup_op_cpu_s": round(warmup, 4),
-        "op_cpu_s": {"p50": _p50(op_s), "q1": round(quartiles[0], 5),
+        "op_cpu_s": {"p50": bench_common.p50(op_s), "q1": round(quartiles[0], 5),
                      "q3": round(quartiles[2], 5), "runs": [round(x, 4) for x in op_s]},
         "maxrss_mb": round(maxrss_mb, 1),
         "calls": rows,
@@ -229,20 +177,9 @@ def measure(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
-    runs = json.loads(args.out.read_text())["runs"] if args.out.exists() else {}
-    run = measure(args)
-    for label, other in runs.items():
-        for seed, digest in run["outputs_sha256"].items():
-            want = other["outputs_sha256"].get(seed)
-            if want is not None and want != digest:
-                print(f"seed {seed}: outputs differ from run {label!r}", file=sys.stderr)
-                return 1
-    runs[args.label] = run
-    args.out.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
-    print(json.dumps({"label": args.label, "op_cpu_s": run["op_cpu_s"],
-                      "maxrss_mb": run["maxrss_mb"]}))
-    return 0
+    return bench_common.main(
+        argv, __doc__, "BENCH_oracle.json", measure,
+        lambda run: {"op_cpu_s": run["op_cpu_s"], "maxrss_mb": run["maxrss_mb"]})
 
 
 if __name__ == "__main__":

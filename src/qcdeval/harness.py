@@ -331,15 +331,6 @@ def _t_max(lengths, nu) -> float:
     return float(np.max(np.minimum(nu, lengths), initial=0.0))
 
 
-def observation_bounds(dataset: LabeledDataset) -> tuple[float, float]:
-    """Largest possible run-length and delay observations: max of min(nu, T)
-    and max of T - nu over with-change sequences (T - inf never wins). These
-    bound the horizons of the censoring-aware estimators; beyond them the
-    curves extrapolate."""
-    lengths, nu = dataset.lengths.astype(np.float64), dataset.nu
-    return _t_max(lengths, nu), float(np.max(lengths - nu, initial=0.0))
-
-
 def sweep(
     dataset: LabeledDataset,
     config: DetectorConfig,

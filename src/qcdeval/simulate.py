@@ -29,7 +29,6 @@ __all__ = [
     "simulate",
     "truncate",
     "save_jsonl",
-    "load_jsonl",
 ]
 
 _TRUNCATE_STREAM = 0x9E3779B97F4A7C15  # separates truncation draws from generation
@@ -257,11 +256,3 @@ def save_jsonl(dataset: LabeledDataset, path, sidecar: bool = True) -> None:
         with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
             json.dump(dataset.provenance.to_json(), fh, indent=2)
             fh.write("\n")
-
-
-def load_jsonl(path) -> LabeledDataset:
-    """Raw load without validation or filtering; see harness.ingest for the
-    validated ingestion path."""
-    from .harness import ingest
-
-    return ingest(path, fmt="jsonl", min_length=1)

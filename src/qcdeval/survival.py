@@ -90,7 +90,6 @@ class RestrictedMean:
     upper_limit: float
     n_samples: int
     extrapolated: bool = False
-    variance_clamped: bool = False
 
 
 def _checked_samples(times, events, ndim: int):
@@ -218,8 +217,7 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
     value = float(np.sum(s_vals * (rights - lefts)))
     second_moment = float(np.sum(s_vals * (rights**2 - lefts**2)))
     variance = second_moment - value**2
-    clamped = variance < 0.0
-    if clamped:
+    if variance < 0.0:
         variance = 0.0
 
     return RestrictedMean(
@@ -228,7 +226,6 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
         upper_limit=a,
         n_samples=curve.n_samples,
         extrapolated=a > curve.max_observed,
-        variance_clamped=clamped,
     )
 
 

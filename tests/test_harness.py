@@ -15,7 +15,6 @@ from qcdeval.detectors import DetectorConfig, LikelihoodModel
 from qcdeval.harness import (
     emit_curve,
     ingest,
-    observation_bounds,
     run_all,
     sweep,
     write_manifest,
@@ -527,12 +526,11 @@ class TestEmitCurve:
 
 
 class TestMisc:
-    def test_observation_bounds(self, dataset):
-        t_max, dt_max = observation_bounds(dataset)
-        assert t_max == max(
+    def test_sweep_t_max(self, dataset):
+        cfg = DetectorConfig(kind="cusum", threshold=5.0, model=GAUSS)
+        assert sweep(dataset, cfg, [5.0], ["km-arl"]).t_max == max(
             min(m.changepoint_nu, m.length_T) for m in dataset.metas
         )
-        assert dt_max > 0
 
     def test_run_all_order_stable(self, dataset):
         cfg = DetectorConfig(kind="cusum", threshold=5.0, model=GAUSS)

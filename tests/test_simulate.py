@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qcdeval.detectors import LikelihoodModel
+from qcdeval.harness import ingest
 from qcdeval.metrics import INF
 from qcdeval.simulate import (
     _TRUNCATE_STREAM,
     LabeledDataset,
     _seq_rng,
     SimSpec,
-    load_jsonl,
     save_jsonl,
     simulate,
     truncate,
@@ -196,7 +196,7 @@ class TestPersistence:
         ds = simulate(spec(changepoint_law=("geometric", 0.1)))
         path = tmp_path / "data.jsonl"
         save_jsonl(ds, path)
-        back = load_jsonl(path)
+        back = ingest(path, min_length=1)
         assert back.content_hash() == ds.content_hash()
         meta = json.loads((tmp_path / "data.jsonl.meta.json").read_text())
         assert SimSpec.from_json(meta) == ds.provenance
