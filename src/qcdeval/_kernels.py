@@ -43,11 +43,12 @@ def first_crossings(stat, levels, start=0):
     return np.where(first < run_max.size, first + start, -1)
 
 
-def _first_alarm_table(frames, offsets, levels, carry, block_stat, llr=None):
+def _first_alarm_table(frames, offsets, levels, carry, block_stat, reset, llr=None):
     """First alarm of each row ``frames[offsets[i]:offsets[i + 1]]`` at each
     of the 1-D ``levels`` (-1 for none). ``llr`` maps frames to their llr
-    (None: the frames are llr), and ``block_stat(cumsum of a block's llr
-    along axis 1, statistic carried in per row)`` gives a block's statistic."""
+    (None: the frames are llr), ``block_stat(cumsum of a block's llr along
+    axis 1, statistic carried in per row)`` gives a block's statistic, and
+    ``reset`` is the statistic at a frame whose llr is -inf."""
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
@@ -74,7 +75,13 @@ def _first_alarm_table(frames, offsets, levels, carry, block_stat, llr=None):
             x = frames.take(offsets[chunk, None] + s + np.arange(width), mode="clip")
             if llr is not None:
                 x = llr(x)
+            # An llr of -inf makes the prefix sums -inf, and the statistic
+            # NaN from there on; rows that hold one are restarted after each.
+            cut = np.flatnonzero(np.isneginf(x).any(axis=1)) if np.isneginf(x).any() else i[:0]
+            raw = x[cut]
             block = block_stat(np.cumsum(x, axis=1, out=x), stat[chunk])
+            for r, row in zip(cut.tolist(), raw):
+                block[r] = _restarted(row, stat[chunk[r]], block_stat, reset)
             stat[chunk] = block[:, -1]  # read only by rows that fill the block
             # The running max of each row in the block, and the sorted levels
             # it has reached. np.fmax turns a NaN statistic (inf - inf from
@@ -95,6 +102,23 @@ def _first_alarm_table(frames, offsets, levels, carry, block_stat, llr=None):
             at = np.searchsorted(q.ravel(), pair * (k + 1) + level + 1)
             first[chunk[pair], by_level[level]] = s + at - pair * width
     return first
+
+
+def _restarted(llr, carry, block_stat, reset):
+    """``block_stat`` of one row's block of llr from ``carry``, with the
+    statistic set to ``reset`` at each frame whose llr is -inf and the prefix
+    sums restarted after it."""
+    out = np.empty_like(llr)
+    start = 0
+    for end in [*np.flatnonzero(np.isneginf(llr)).tolist(), llr.size]:
+        if end > start:
+            part = np.cumsum(llr[None, start:end], axis=1)
+            out[start:end] = block_stat(part, np.array([carry]))[0]
+            carry = out[end - 1]
+        if end < llr.size:
+            out[end] = carry = reset
+        start = end + 1
+    return out
 
 
 def _gsr_block(c, log_r0):
@@ -121,12 +145,12 @@ def _cusum_block(c, w0):
 def gsr_alarm_table(frames, offsets, log_levels, omega, llr=None):
     """GSR first alarms of each row at each level of log R."""
     log_r0 = np.log(omega) if omega > 0.0 else -np.inf
-    return _first_alarm_table(frames, offsets, log_levels, log_r0, _gsr_block, llr)
+    return _first_alarm_table(frames, offsets, log_levels, log_r0, _gsr_block, -np.inf, llr)
 
 
 def cusum_alarm_table(frames, offsets, levels, llr=None):
     """CUSUM first alarms of each row at each level of W."""
-    return _first_alarm_table(frames, offsets, levels, 0.0, _cusum_block, llr)
+    return _first_alarm_table(frames, offsets, levels, 0.0, _cusum_block, 0.0, llr)
 
 
 def gsr_first_alarm(llr, log_threshold, omega):

@@ -6,14 +6,19 @@ Exit codes: 0 success, 2 validation/usage error (``CliError``, ``OSError`` or
 Every run writes a manifest JSON after its result files, so a run that fails
 leaves neither. ``evaluate`` is a one-threshold ``sweep``, and ``survival``
 fits one alarm column of ``harness.alarm_columns``, which ``sweep`` reads.
+``-v``/``--log-level LEVEL`` sends qcdeval's log records (the ingest-cache
+hit or miss, dropped and rejected sequences) at that level and above to
+stderr for the run; without it, logging is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
+import logging
 import sys
 
 import numpy as np
@@ -140,6 +145,29 @@ def _add_common(p):
     # file; every other subcommand falls back to 0.
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--manifest", default=None, help="manifest path (default <out>.manifest.json)")
+    p.add_argument("-v", "--log-level", dest="log_level", nargs="?", const="info", default=None,
+                   choices=("debug", "info", "warning", "error"),
+                   help="log records at this level and above to stderr (-v alone: info)")
+
+
+@contextlib.contextmanager
+def _logging(level):
+    """Send the ``qcdeval`` loggers' records at ``level`` and above to
+    stderr while the block runs; None leaves logging as it is."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("qcdeval")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
 
 
 def _manifest_path(args, out):
@@ -373,7 +401,8 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None and args.command != "simulate":
         args.seed = 0
     try:
-        return args.func(args)
+        with _logging(args.log_level):
+            return args.func(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

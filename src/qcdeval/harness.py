@@ -12,14 +12,16 @@ offsets and widths). Every run of a detector over a dataset goes through
 (``detectors.scan_table``), and the dataset's lengths and changepoints are
 read as float columns. The result is the (lengths, nu, tau) triple the
 metrics read, with tau a (sequences x thresholds) table of first alarms (inf
-for no alarm). ``sweep`` computes every metric at every threshold from it
-with ``metrics.estimate``, and the CLI's ``survival`` fits one column of it.
+for no alarm). ``sweep`` computes each metric at every threshold from it
+with one ``metrics.estimate_columns`` call over the whole table, and the
+CLI's ``survival`` fits one column of it.
 Sequences are never matched by id: ``ingest`` rejects a repeated id.
 
 ``ingest`` parses a regular data file once: it saves the parsed dataset's
-columns in a sidecar ``.<name>.qcdeval-cache.npz`` beside the file, keyed by
-the SHA-256 of the file's bytes, and loads them from there while the bytes
-match. The sidecar never changes a result, a count or a manifest.
+columns and content hash in a sidecar ``.<name>.qcdeval-cache.npz`` beside
+the file, keyed by the SHA-256 of the file's bytes, and loads them from there
+while the bytes match. The sidecar never changes a result, a count or a
+manifest.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV: a sequence's first alarms do not depend on the other
@@ -49,7 +51,7 @@ import numpy as np
 from .detectors import DetectorConfig, detector_levels, scan_table
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
-from .metrics import INF, DetectionOutcome, SequenceMeta, estimate
+from .metrics import INF, DetectionOutcome, SequenceMeta, estimate_columns
 # Unused here, kept because qcdbench's traced runs wrap harness.compute_metric.
 from .metrics import compute_metric  # noqa: F401
 from .simulate import LabeledDataset
@@ -140,9 +142,9 @@ def _iter_csv(fh):
 
 
 # The ingest cache: a sidecar ``.<name>.qcdeval-cache.npz`` beside a regular
-# data file holds the columns of its parsed dataset, keyed by this version,
-# the format and the SHA-256 of the file's bytes.
-_CACHE_VERSION = 1
+# data file holds the columns of its parsed dataset and their content hash,
+# keyed by this version, the format and the SHA-256 of the file's bytes.
+_CACHE_VERSION = 2
 _CACHE_SUFFIX = ".qcdeval-cache.npz"
 _HASH_CHUNK = 1 << 20
 
@@ -176,9 +178,10 @@ class _HashingReader(io.RawIOBase):
 
 
 def _read_cache(cache: str, key: str):
-    """The dataset held by the sidecar, or None when it is missing,
-    unreadable or keyed to other bytes. Arrays the reader does not name (the
-    ``lines`` of older sidecars) are never read."""
+    """The dataset held by the sidecar, with its stored content hash kept
+    (``LabeledDataset.keep_hash``), or None when the sidecar is missing,
+    unreadable or keyed to other bytes. Arrays the reader does not name are
+    never read."""
     try:
         with open(cache, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":  # not a zip file, so not a sidecar
@@ -190,20 +193,25 @@ def _read_cache(cache: str, key: str):
                 dataset = LabeledDataset(
                     ids=json.loads(z["ids"].tobytes()), nu=z["nu"], frames=z["frames"],
                     offsets=z["offsets"], widths=z["widths"])
+                digest = str(z["hash"].item())
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     n = len(dataset.ids)
     if not dataset.nu.shape == dataset.widths.shape == (n,) == (dataset.offsets.size - 1,):
         return None
+    dataset.keep_hash(digest)
     return dataset
 
 
 def _write_cache(cache: str, key: str, dataset: LabeledDataset, mode: int) -> None:
-    """Write the dataset's columns to the sidecar atomically, with the data
-    file's read and write permissions ``mode``: a temporary file in its
-    folder, then ``os.replace``. A failure leaves no file behind and is only
-    logged. Ids are stored as JSON bytes, so a trailing NUL or a lone
-    surrogate survives."""
+    """Write the dataset's columns and content hash to the sidecar
+    atomically, with the data file's read and write permissions ``mode``: a
+    temporary file in its folder, then ``os.replace``. A failure leaves no
+    file behind and is only logged. Ids are stored as JSON bytes, so a
+    trailing NUL or a lone surrogate survives. The dataset keeps the hash
+    (``LabeledDataset.keep_hash``), as one read from the sidecar does."""
+    digest = dataset.content_hash()
+    dataset.keep_hash(digest)
     folder, name = os.path.split(cache)
     tmp = None
     try:
@@ -211,7 +219,7 @@ def _write_cache(cache: str, key: str, dataset: LabeledDataset, mode: int) -> No
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fd, mode & 0o666)
             np.savez(fh, key=np.array(key), frames=dataset.frames, offsets=dataset.offsets,
-                     widths=dataset.widths, nu=dataset.nu,
+                     widths=dataset.widths, nu=dataset.nu, hash=np.array(digest),
                      ids=np.frombuffer(json.dumps(dataset.ids).encode(), np.uint8))
         os.replace(tmp, cache)
     except OSError as exc:
@@ -275,8 +283,9 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     or changepoint, and a repeated id raise with their line number.
 
     The parsed dataset of a regular file is cached in a sidecar beside it
-    (see ``_load``); the filters above run on it either way, and copy it
-    only when they remove a sequence.
+    with its content hash (see ``_load``); the filters above run on it either
+    way, and copy it only when they remove a sequence. A dataset they leave
+    whole keeps the stored hash, so ``content_hash`` does not hash it again.
     """
     if min_length < 1:
         raise ValueError("min_length must be >= 1")
@@ -352,10 +361,11 @@ def sweep(
         raise ValueError("no metrics requested")
 
     lengths, nu, taus = alarm_columns(dataset, config, thresholds)
-    points = []
-    for thr, tau in zip(thresholds, taus.T):
-        estimates = {name: estimate(name, lengths, nu, tau) for name in metrics}
-        points.append(CurvePoint(threshold=thr, estimates=estimates))
+    columns = {name: estimate_columns(name, lengths, nu, taus) for name in metrics}
+    points = [
+        CurvePoint(threshold=thr, estimates={name: columns[name][j] for name in metrics})
+        for j, thr in enumerate(thresholds)
+    ]
     return SweepResult(points, t_max=_t_max(lengths, nu))
 
 

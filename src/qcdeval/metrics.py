@@ -3,11 +3,14 @@
 Computes the censoring-aware estimators (KM-ARL, KM-ADD) next to the
 conventional selection-based baselines (LB-ARL, LB-ADD, Naive ARL). All five
 read the same per-sequence columns: length T, changepoint ``nu`` and first
-alarm ``tau``. ``estimate`` computes each as a masked array expression over
-them: the KM metrics fit a product-limit curve to ``arl_columns`` or
-``add_columns``, the baselines average a selection. The object-level
-functions (``compute_metric``, ``km_arl``, ..., ``arl_samples``) match
-outcomes to sequences by id in one place, ``_columns``.
+alarm ``tau``. ``estimate_columns`` computes one of them at every column of
+a (sequences x thresholds) table of first alarms, from masks built once for
+the whole table: the KM metrics fit the product-limit curves of all columns
+as row blocks of ``arl_columns`` or ``add_columns`` samples (one fit per
+block, ``survival._restricted_rows``), the baselines average each column's
+selection. ``estimate`` is its one-column call. The object-level functions
+(``compute_metric``, ``km_arl``, ..., ``arl_samples``) match outcomes to
+sequences by id in one place, ``_columns``.
 
 Conventions: the changepoint ``nu`` and the detection point ``tau`` are frame
 indices, with ``math.inf`` meaning "no change" / "no alarm". A sequence
@@ -22,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SurvivalSample, fit_km_arrays, rmst
-# Unused here, kept because qcdbench's traced runs wrap metrics.fit_km.
-from .survival import fit_km  # noqa: F401
+from .survival import SurvivalSample, _checked_samples, _restricted_rows
+# Unused here, kept because qcdbench's traced runs wrap metrics.fit_km and
+# metrics.rmst.
+from .survival import fit_km, rmst  # noqa: F401
 
 __all__ = [
     "INF",
@@ -43,11 +47,17 @@ __all__ = [
     "naive_arl",
     "compute_metric",
     "estimate",
+    "estimate_columns",
 ]
 
 INF = math.inf
 
 METRIC_NAMES = ("km-arl", "km-add", "lb-arl", "lb-add", "naive-arl")
+
+# Samples per block of KM rows: about 1 MB of working arrays, less than the
+# detector scan's own peak at the 1k-sequence benchmark size, so the metrics
+# never set a curve's peak memory.
+_KM_BLOCK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -150,23 +160,57 @@ def add_columns(lengths, nu, tau):
     return np.where(events, tau - nu, lengths[keep] - nu), events
 
 
-def _km(name, times, events, upper_limit):
-    if times.size == 0:
-        return _undefined(name)
-    curve = fit_km_arrays(times, events)
-    a = float(times.max()) if upper_limit is None else float(upper_limit)
-    rm = rmst(curve, a)
-    sem = math.sqrt(rm.variance / curve.n_samples)
+def _km_columns(name, lengths, nu, taus, upper_limit):
+    """KM-ARL or KM-ADD at every column of ``taus``: the columns' samples
+    are fitted as row blocks of about ``_KM_BLOCK_SAMPLES`` samples (one row
+    per block when a column holds more), KM-ADD rows padded to the block's
+    widest with +inf censorings."""
+    n, k = taus.shape
+    if name == "km-arl":
+        counts = np.full(k, n)
+    else:
+        counts = np.count_nonzero((nu != INF)[:, None] & ~(taus < nu[:, None]), axis=0)
+    out = [_undefined(name)] * k
+    step = max(1, _KM_BLOCK_SAMPLES // max(int(counts.max(initial=0)), 1))
+    for first in range(0, k, step):
+        cols = np.arange(first, min(first + step, k))
+        cols = cols[counts[cols] > 0]
+        if not cols.size:
+            continue
+        tau = np.ascontiguousarray(taus[:, cols].T)
+        if name == "km-arl":
+            times, events = arl_columns(lengths, nu, tau)
+            _checked_samples(times, events, ndim=2)
+            pads = np.zeros(cols.size, dtype=np.int64)
+        else:
+            # The rows' delays back to back, then one row per column.
+            delay, event = add_columns(*np.broadcast_arrays(lengths, nu, tau))
+            _checked_samples(delay, event, ndim=1)
+            width = int(counts[cols].max())
+            fill = np.arange(width) < counts[cols, None]
+            times = np.full(fill.shape, INF)
+            times[fill] = delay
+            events = np.zeros(fill.shape, dtype=bool)
+            events[fill] = event
+            pads = width - counts[cols]
+        rows = _restricted_rows(times, events, pads, upper_limit)
+        for c, *row in zip(cols.tolist(), *(x.tolist() for x in rows)):
+            out[c] = _km(name, int(counts[c]), *row)
+    return out
+
+
+def _km(name, n, a, value, second_moment, tail, t_max):
+    variance = second_moment - value**2
+    if variance < 0.0:
+        variance = 0.0
     # Extrapolation: the horizon exceeds the data, or the curve never drops
     # below 1 so the whole estimate is the horizon itself.
-    flag = rm.extrapolated or (
-        curve.survival_at(a) > 0.0 and abs(rm.value - a) <= 1e-12 * max(a, 1.0)
-    )
+    flag = a > t_max or (tail > 0.0 and abs(value - a) <= 1e-12 * max(a, 1.0))
     return MetricEstimate(
         name=name,
-        value=rm.value,
-        sem=sem,
-        n_used=curve.n_samples,
+        value=value,
+        sem=math.sqrt(variance / n),
+        n_used=n,
         upper_limit=a,
         extrapolation_flag=flag,
     )
@@ -185,30 +229,44 @@ def _mean(name, arr):
     )
 
 
-def estimate(name: str, lengths, nu, tau, upper_limit=None) -> MetricEstimate:
-    """One metric from per-sequence columns: length T, changepoint nu and
-    first alarm tau, float arrays of equal length with inf meaning no change
-    or no alarm.
+def estimate_columns(name: str, lengths, nu, taus, upper_limit=None) -> list[MetricEstimate]:
+    """One metric at every column of a first-alarm table: ``lengths`` and
+    changepoints ``nu`` are float arrays with one entry per sequence, and
+    ``taus`` a (sequences x K) float table whose column j holds every
+    sequence's first alarm at threshold j, inf meaning no change or no alarm.
+    Returns the K estimates in column order.
 
-    ``upper_limit`` is the horizon of ``km-arl`` and ``km-add`` (default: the
-    largest observed time); the selection means take none.
+    ``upper_limit`` is the horizon of ``km-arl`` and ``km-add`` (default: each
+    column's largest observed time); the selection means take none.
     """
-    lengths, nu, tau = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, tau))
-    if name == "km-arl":
-        return _km(name, *arl_columns(lengths, nu, tau), upper_limit)
-    if name == "km-add":
-        return _km(name, *add_columns(lengths, nu, tau), upper_limit)
+    lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
+    if name in ("km-arl", "km-add"):
+        return _km_columns(name, lengths, nu, taus, upper_limit)
     if name not in METRIC_NAMES:
         raise ValueError(f"unknown metric: {name}")
     if upper_limit is not None:
         raise ValueError(f"{name} takes no upper_limit")
+    nu_col = nu[:, None]
     if name == "lb-arl":  # no-change sequences that did alarm
-        return _mean(name, tau[(nu == INF) & (tau != INF)])
-    if name == "lb-add":  # with-change sequences detected at or after the change
-        hit = (nu != INF) & (tau != INF) & (tau >= nu)
-        return _mean(name, tau[hit] - nu[hit])
-    # naive-arl: every alarm before its changepoint, false alarms included
-    return _mean(name, tau[tau < nu])
+        select = (nu_col == INF) & (taus != INF)
+    elif name == "lb-add":  # with-change sequences detected at or after the change
+        select = (nu_col != INF) & (taus != INF) & (taus >= nu_col)
+        return [_mean(name, tau[hit] - nu[hit]) for tau, hit in zip(taus.T, select.T)]
+    else:  # naive-arl: every alarm before its changepoint, false alarms included
+        select = taus < nu_col
+    return [_mean(name, tau[hit]) for tau, hit in zip(taus.T, select.T)]
+
+
+def estimate(name: str, lengths, nu, tau, upper_limit=None) -> MetricEstimate:
+    """One metric from per-sequence columns: length T, changepoint nu and
+    first alarm tau, float arrays of equal length with inf meaning no change
+    or no alarm; the one-column call of ``estimate_columns``.
+
+    ``upper_limit`` is the horizon of ``km-arl`` and ``km-add`` (default: the
+    largest observed time); the selection means take none.
+    """
+    tau = np.asarray(tau, dtype=np.float64)[:, None]
+    return estimate_columns(name, lengths, nu, tau, upper_limit)[0]
 
 
 def _samples(times, events) -> list[SurvivalSample]:

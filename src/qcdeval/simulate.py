@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,6 +134,8 @@ class LabeledDataset:
     widths: np.ndarray
     provenance: object = None
     clamped_truncations: int = 0
+    # (digest, ids, nu, frames, offsets, widths) from keep_hash, or None.
+    _kept_hash: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_sequences(cls, ids, values, nu, **fields) -> "LabeledDataset":
@@ -169,12 +171,30 @@ class LabeledDataset:
 
     def content_hash(self) -> str:
         """SHA-256 over each sequence's id, changepoint and shape (as a JSON
-        header) followed by its frames as little-endian float64 bytes."""
+        header) followed by its frames as little-endian float64 bytes.
+
+        A digest given to ``keep_hash`` is returned instead, as long as the
+        dataset holds the very columns it was kept with."""
+        kept = self._kept_hash
+        if kept is not None and all(a is b for a, b in zip(kept[1:], self._hashed_columns())):
+            return kept[0]
         h = hashlib.sha256()
         for seq_id, nu, vals in zip(self.ids, self.nu.tolist(), self.values):
             h.update(json.dumps([seq_id, nu, list(vals.shape)]).encode())
             h.update(vals.astype("<f8", copy=False))  # a view: no copy
         return h.hexdigest()
+
+    def keep_hash(self, digest: str) -> None:
+        """Keep ``digest``, this dataset's ``content_hash``, for later calls.
+        The hashed columns become read-only (ids a tuple), so the digest
+        cannot outlive a change to them."""
+        self.ids = tuple(self.ids)
+        for column in self._hashed_columns()[1:]:
+            column.flags.writeable = False
+        self._kept_hash = (digest, *self._hashed_columns())
+
+    def _hashed_columns(self) -> tuple:
+        return self.ids, self.nu, self.frames, self.offsets, self.widths
 
 
 def _seq_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:

@@ -119,7 +119,7 @@ def _checked_limit(upper_limit) -> float:
     return a
 
 
-def _product_limit(times: np.ndarray, events: np.ndarray):
+def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
     """Product-limit fit of every row of checked (rows, n) time/event arrays.
 
     Rows are sorted by time, events first among equal times; samples with
@@ -129,6 +129,10 @@ def _product_limit(times: np.ndarray, events: np.ndarray):
     last position of a group with events is a drop, and ``surv`` is the
     survival just after it. Returns the sorted times and the (drop, at_risk,
     deaths, surv) arrays.
+
+    ``pads`` (a (rows, 1) array) says how many of a row's samples are +inf
+    censorings that only pad it to width n: they sort last and are left out
+    of ``at_risk``, so the row's fit is that of its other samples.
     """
     rows, n = times.shape
     # One sort key per sample: the bits of a non-negative float64 order as
@@ -145,7 +149,7 @@ def _product_limit(times: np.ndarray, events: np.ndarray):
     new_time = np.ones((rows, n), dtype=bool)
     new_time[:, 1:] = t[:, 1:] != t[:, :-1]
     start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
-    at_risk = n - start
+    at_risk = (n - pads) - start
     # Flat gather: element j of row r is element r*n + j of the raveled array.
     start += (np.arange(rows) * n)[:, None]
     deaths = np.cumsum(e, axis=1)  # events up to each position, less
@@ -154,21 +158,25 @@ def _product_limit(times: np.ndarray, events: np.ndarray):
     drop = deaths > 0
     drop[:, :-1] &= new_time[:, 1:]
     del new_time
-    surv = deaths / at_risk
+    with np.errstate(invalid="ignore"):  # pads: 0 / 0, set to 1 below
+        surv = deaths / at_risk
     np.subtract(1.0, surv, out=surv)
     surv[~drop] = 1.0
     np.cumprod(surv, axis=1, out=surv)
     return t, drop, at_risk, deaths, surv
 
 
-def _intervals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: float):
+def _intervals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a):
     """Left ends, right ends and values of the intervals of step curves on
     [0, a], row after row in flat arrays. Row r of the (rows, n) inputs
     drops to ``surv[r, j]`` at ``t[r, j]`` where ``drop[r, j]`` is set (only
     below a), and is 1 before; its k drops close the interval at flat
-    position j + r and open the one at j + r + 1, k + 1 in all."""
+    position j + r and open the one at j + r + 1, k + 1 in all. ``a`` is one
+    horizon for every row, or a (rows,) array of them."""
     at = np.flatnonzero(drop)
     closes = at // drop.shape[1]
+    if np.ndim(a):  # each row's k + 1 intervals end at most at its own a
+        a = np.repeat(a, np.bincount(closes, minlength=drop.shape[0]) + 1)
     closes += np.arange(at.size)
     rights = np.full(drop.shape[0] + at.size, a)
     lefts = np.zeros_like(rights)
@@ -266,16 +274,52 @@ def _rmst_rows(times: np.ndarray, events: np.ndarray, a: float) -> np.ndarray:
     del t, drop, surv
     terms = s_vals * (rights - lefts)
     del lefts, rights, s_vals
-    first = np.cumsum(counts + 1) - (counts + 1)
+    return _row_sums(counts, terms)[0]
 
-    # Rows with the same k sum one (rows, k + 1) gather of their terms, so
-    # each row's sum is rmst's, bit for bit.
-    values = np.empty(times.shape[0])
+
+def _restricted_rows(times: np.ndarray, events: np.ndarray, pads: np.ndarray, upper_limit):
+    """``rmst`` of the product-limit fit of every row of a checked (rows, m)
+    block, whose last ``pads[r]`` samples are +inf censorings that pad row r
+    to width m (see ``_product_limit``).
+
+    Returns per row: the horizon a (the row's largest time, or
+    ``upper_limit``), the restricted mean and second moment over [0, a],
+    S(a), and the largest time. Each is the value, the ``variance``'s second
+    moment, ``survival_at(a)`` and ``max_observed`` of ``rmst`` and
+    ``fit_km_arrays`` on the row's own samples, bit for bit.
+    """
+    t, drop, at_risk, deaths, surv = _product_limit(times, events, pads[:, None])
+    del at_risk, deaths
+    rows = np.arange(t.shape[0])
+    t_max = t[rows, times.shape[1] - 1 - pads]
+    a = t_max if upper_limit is None else np.full(rows.size, _checked_limit(upper_limit))
+    # S(a) takes the drops at or before a: the running product at the row's
+    # last time <= a, which closes its tie group (1 before the first time).
+    below = np.count_nonzero(t <= a[:, None], axis=1)
+    tail = np.where(below > 0, surv[rows, below - 1], 1.0)
+    drop &= t < a[:, None]
+    counts = drop.sum(axis=1)
+    lefts, rights, s_vals = _intervals(t, drop, surv, a)
+    del t, drop, surv
+    value, second = _row_sums(
+        counts, s_vals * (rights - lefts), s_vals * (rights**2 - lefts**2))
+    return a, value, second, tail, t_max
+
+
+def _row_sums(counts: np.ndarray, *terms: np.ndarray) -> list:
+    """Per row, the sum of its counts[r] + 1 terms in each flat ``terms``
+    array, where the rows' terms lie back to back. Rows with the same k sum
+    one (rows, k + 1) gather, so each row's sum is the (k + 1)-term
+    ``np.sum`` of ``rmst``, bit for bit."""
+    first = np.cumsum(counts + 1) - (counts + 1)
+    sums = [np.empty(counts.size) for _ in terms]
     by_count = np.argsort(counts, kind="stable")
     ks, group_first, group_rows = np.unique(
         counts[by_count], return_index=True, return_counts=True
     )
     for k, r, m in zip(ks.tolist(), group_first.tolist(), group_rows.tolist()):
         group = by_count[r : r + m]
-        values[group] = np.sum(terms[first[group, None] + np.arange(k + 1)], axis=1)
-    return values
+        at = first[group, None] + np.arange(k + 1)
+        for out, x in zip(sums, terms):
+            out[group] = np.sum(x[at], axis=1)
+    return sums

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -895,3 +896,51 @@ def test_ewma_curve_leaves_scipy_unimported(tmp_path, data_file):
             "assert 'scipy' not in sys.modules, 'scipy was imported'")
     run = _python("-c", code, json.dumps(argv))
     assert run.returncode == 0, run.stderr
+
+
+class TestLogLevel:
+    """``-v``/``--log-level`` sends qcdeval's log records to stderr; without
+    it a run writes nothing there and its stdout and manifest keep their
+    bytes."""
+
+    def _data(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        rows = [{"id": "short", "values": [0.5], "nu": None}]
+        rows += [{"id": f"s{i}", "values": [0.1 * i, 0.5, 1.5, 9.0], "nu": 1} for i in range(6)]
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return data
+
+    def _curve(self, tmp_path, capsys, data, name, *flags):
+        out = tmp_path / f"{name}.csv"
+        argv = ["curve", "--data", str(data), "--detector", "gsr",
+                "--model", "gaussian:0,1,1", "--thresholds", "1,10,100", "--out", str(out),
+                *flags]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        manifest = Path(f"{out}.manifest.json").read_bytes()
+        return captured.out.replace(name, "<out>"), captured.err, manifest
+
+    def test_verbose_shows_cache_and_drops(self, tmp_path, capsys):
+        data = self._data(tmp_path)
+        quiet = self._curve(tmp_path, capsys, data, "quiet")
+        assert quiet[1] == ""
+        cache = tmp_path / ".d.jsonl.qcdeval-cache.npz"
+        cache.unlink()
+        out, err, manifest = self._curve(tmp_path, capsys, data, "miss", "-v")
+        assert err.splitlines() == [
+            f"INFO qcdeval.harness: ingest cache miss: {cache}",
+            "INFO qcdeval.harness: 1 sequence(s) dropped below min_length=2",
+        ]
+        assert (out, manifest) == (quiet[0], quiet[2])
+        out, err, manifest = self._curve(tmp_path, capsys, data, "hit", "--log-level", "debug")
+        assert f"INFO qcdeval.harness: ingest cache hit: {cache}" in err.splitlines()
+        assert (out, manifest) == (quiet[0], quiet[2])
+        assert self._curve(tmp_path, capsys, data, "warn", "--log-level", "warning")[1] == ""
+        assert logging.getLogger("qcdeval").handlers == []
+        assert logging.getLogger("qcdeval").level == logging.NOTSET
+
+    def test_unknown_level_exit_2(self, tmp_path, capsys):
+        argv = ["curve", "--data", str(self._data(tmp_path)), "--detector", "ewma",
+                "--thresholds", "1", "--out", str(tmp_path / "c.csv"), "--log-level", "loud"]
+        assert main(argv) == 2
+        assert "invalid choice: 'loud'" in capsys.readouterr().err

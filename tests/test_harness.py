@@ -20,7 +20,7 @@ from qcdeval.harness import (
     write_manifest,
 )
 from qcdeval.metrics import INF, METRIC_NAMES
-from qcdeval.simulate import SimSpec, save_jsonl, simulate
+from qcdeval.simulate import LabeledDataset, SimSpec, save_jsonl, simulate
 
 GAUSS = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1)
 
@@ -362,8 +362,9 @@ class TestIngestCache:
 
 class TestFlatSidecar:
     def test_sidecar_with_line_numbers_hits(self, tmp_path, monkeypatch, caplog):
-        # The sidecar layout before the flat dataset: the same arrays plus
-        # each record's line number. Its key is unchanged, so it must hit.
+        # A sidecar of the current version that also holds an array the
+        # reader does not name (each record's line number, as in the layout
+        # before the flat dataset) must hit.
         caplog.set_level(logging.INFO, logger="qcdeval.harness")
         data = _write_cache_input(tmp_path, "jsonl-2d", _cache_records("jsonl-2d"))
         with _uncached(monkeypatch):
@@ -373,6 +374,7 @@ class TestFlatSidecar:
         with open(_sidecar(data), "wb") as fh:
             np.savez(fh, key=np.array(harness._cache_key("jsonl", digest)), frames=parsed.frames,
                      offsets=parsed.offsets, widths=parsed.widths, nu=parsed.nu,
+                     hash=np.array(parsed.content_hash()),
                      lines=np.arange(len(parsed), dtype=np.int64) + 1,
                      ids=np.frombuffer(json.dumps(parsed.ids).encode(), np.uint8))
         before = _sidecar(data).read_bytes()
@@ -396,6 +398,90 @@ class TestFlatSidecar:
         for vals in hit.values:
             assert np.shares_memory(vals, hit.frames)
         assert_same_dataset(hit, miss)
+
+
+class TestStoredHash:
+    """The sidecar holds the dataset's content hash; a run whose ingest drops
+    and rejects nothing reports it without hashing the frames again."""
+
+    def _data(self, tmp_path, short):
+        rng = np.random.default_rng(11)
+        records = [{"id": f"s{i}", "values": rng.normal(0.0, 1.0, 30 + i).tolist(),
+                    "nu": 5 if i % 2 else None} for i in range(8)]
+        if short:
+            records.append({"id": "short", "values": [0.5], "nu": None})
+        return write_jsonl(tmp_path, records)
+
+    def _manifest_hash(self, data, out):
+        argv = ["curve", "--data", str(data), "--detector", "gsr", "--model", "gaussian:0,1,1",
+                "--thresholds", "1,10,100", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return json.loads(open(f"{out}.manifest.json").read())["dataset_hash"]
+
+    @staticmethod
+    def _fresh_hash(data, monkeypatch):
+        with _uncached(monkeypatch):
+            ds = ingest(data)
+        return LabeledDataset.from_sequences(list(ds.ids), ds.values, ds.nu).content_hash()
+
+    @pytest.mark.parametrize("short", [False, True], ids=["whole", "with-drops"])
+    def test_miss_and_hit_report_the_fresh_hash(self, tmp_path, monkeypatch, caplog, short):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = self._data(tmp_path, short)
+        want = self._fresh_hash(data, monkeypatch)
+        caplog.clear()
+        assert self._manifest_hash(data, tmp_path / "miss.csv") == want
+        with np.load(_sidecar(data)) as z:
+            stored = str(z["hash"].item())
+        # The sidecar holds the hash of every parsed record, dropped ones too.
+        assert (stored == want) is not short
+        calls = []
+        real = LabeledDataset.content_hash
+        monkeypatch.setattr(LabeledDataset, "content_hash",
+                            lambda self: calls.append(self._kept_hash) or real(self))
+        assert self._manifest_hash(data, tmp_path / "hit.csv") == want
+        assert _cache_lines(caplog) == ["ingest cache miss", "ingest cache hit"]
+        # A whole dataset reports the kept hash; one with drops is a new
+        # dataset, hashed afresh.
+        assert [kept is not None for kept in calls] == [not short]
+
+    def test_version_1_sidecar_misses_once_and_is_rewritten(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = self._data(tmp_path, short=False)
+        want = self._fresh_hash(data, monkeypatch)
+        parsed = LabeledDataset.from_sequences(
+            *zip(*((r["id"], np.array(r["values"]), INF if r["nu"] is None else r["nu"])
+                   for r in map(json.loads, data.read_text().splitlines()))))
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        with open(_sidecar(data), "wb") as fh:  # the layout and key of version 1
+            np.savez(fh, key=np.array(f"qcdeval-ingest-cache/1 jsonl {digest}"),
+                     frames=parsed.frames, offsets=parsed.offsets, widths=parsed.widths,
+                     nu=parsed.nu, ids=np.frombuffer(json.dumps(parsed.ids).encode(), np.uint8))
+        caplog.clear()
+        assert self._manifest_hash(data, tmp_path / "a.csv") == want
+        with np.load(_sidecar(data)) as z:
+            assert z["key"].item() == harness._cache_key("jsonl", digest)
+            assert z["key"].item().startswith("qcdeval-ingest-cache/2 ")
+            assert str(z["hash"].item()) == want
+        assert self._manifest_hash(data, tmp_path / "b.csv") == want
+        assert _cache_lines(caplog) == ["ingest cache miss", "ingest cache hit"]
+
+    def test_kept_hash_never_outlives_a_change(self, tmp_path):
+        data = self._data(tmp_path, short=False)
+        ingest(data)
+        hit = ingest(data)
+        assert hit._kept_hash is not None
+        kept = hit.content_hash()
+        for column in (hit.frames, hit.nu, hit.offsets, hit.widths):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7.0
+        with pytest.raises(TypeError):
+            hit.ids[0] = "other"
+        hit.nu = hit.nu.copy()
+        hit.nu[0] = 3.0
+        changed = LabeledDataset.from_sequences(list(hit.ids), hit.values, hit.nu).content_hash()
+        assert hit.content_hash() == changed != kept
 
 
 class TestSweep:

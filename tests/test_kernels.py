@@ -11,9 +11,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcdeval import _kernels
-from qcdeval.detectors import LikelihoodModel
+from qcdeval.detectors import DetectorConfig, LikelihoodModel, detector_levels, scan_table
+from qcdeval.simulate import LabeledDataset
 
 SLACK = 1e-12
 
@@ -169,10 +172,11 @@ def test_empty_sequences_never_alarm():
 
 
 def test_nan_statistic_reaches_only_minus_inf():
-    # Two llr of -inf make the GSR prefix form -inf + inf = NaN at frame 1,
-    # which reaches no level above -inf, as under a >= comparison.
+    # An llr of NaN (inf - inf inside a model's llr, for a frame near the
+    # float64 limit) makes the statistic NaN, which reaches no level above
+    # -inf, as under a >= comparison.
     with np.errstate(invalid="ignore"):
-        got = _kernels.gsr_first_alarm([-np.inf, -np.inf], [-np.inf, -5.0, np.inf], 0.0)
+        got = _kernels.gsr_first_alarm([np.nan, np.nan], [-np.inf, -5.0, np.inf], 0.0)
     assert got.tolist() == [0, -1, -1]
 
 
@@ -203,3 +207,83 @@ def test_causal_across_block_edges():
                 (c,) = _kernels.cusum_first_alarm(llr[:k], [cusum[t]])
                 assert g == (full_g if full_g < k else -1)
                 assert c == (full_c if full_c < k else -1)
+
+
+# Frames that reach the float64 limit: under gaussian 0 -> 10 (var 1) the
+# llr of -1e308 is -inf, of 1e308 +inf, and of 1e300 finite but huge.
+LIMIT_MODEL = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=10.0, var=1.0)
+SPIKES = [-1e308, 1e308, -1e300, 1e300, -1e10, 1e10, 0.0, 10.0, -5.0]
+# The rows of a dataset whose prefix sums meet an llr of -inf.
+NEG_INF_ROWS = [[-1e308] + [10.0] * 5, [0.0] * 300 + [-1e308] + [10.0] * 5,
+                [-1e308] * 2 + [10.0] * 600, [-1e308, 1e308, 0.0, 0.0]]
+
+
+@st.composite
+def scan_cases(draw):
+    """A detector, a model, a grid and the rows of a dataset: seeded noise of
+    lengths on both sides of BLOCK and 2 * BLOCK, with drawn spikes of mixed
+    scale up to +-1e308 (non-negative whole counts under Poisson)."""
+    kind = draw(st.sampled_from(["gsr", "cusum"]))
+    model = draw(st.sampled_from([LIMIT_MODEL, *MODELS.values()]))
+    omega = draw(st.sampled_from([0.0, 0.5, 3.0])) if kind == "gsr" else 0.0
+    grid = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 5.0, 100.0, 1e6, 1e300, math.inf])
+                         | st.floats(0.5, 1e4), min_size=1, max_size=6))
+    edges = [1, 2, 255, 256, 257, 511, 512, 513]
+    rows = []
+    for seed in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from(edges) | st.integers(1, 600))
+        rng = np.random.default_rng(seed)
+        if model.kind == "poisson":
+            x = rng.poisson(model.lam0, n).astype(float)
+            values = st.sampled_from([0.0, 1e300, 1e308, 50.0])
+        else:
+            x = rng.normal(model.mu0, math.sqrt(model.var), n)
+            values = st.sampled_from(SPIKES)
+        for at, v in draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=4)):
+            x[at] = v
+        rows.append(x)
+    return kind, model, omega, grid, rows
+
+
+def _reference(kind, model, omega, x, levels):
+    """First frame of the per-frame recursion at each level, and per frame
+    the tolerance of the block form: the tie slack plus 1e-9 of the sum of
+    |llr| (and |log omega|) since the sequence start or the last llr of
+    -inf, after which both forms restart exactly."""
+    llr = model.llr(x)
+    path = gsr_path(llr, omega) if kind == "gsr" else cusum_path(llr)
+    scale = np.where(np.isfinite(llr), np.abs(llr), 0.0)
+    scale[0] += abs(math.log(omega)) if omega > 0 else 0.0
+    restart = np.isneginf(llr)
+    total, tol = 0.0, np.empty(len(llr))
+    for t, (v, r) in enumerate(zip(scale.tolist(), restart.tolist())):
+        total = 0.0 if r else total + v
+        tol[t] = SLACK + 1e-9 * total
+    return path, tol, [first_at_or_above(path, level) for level in levels]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scan_cases())
+@example(("gsr", LIMIT_MODEL, 0.0, [100.0], [np.array(r) for r in NEG_INF_ROWS]))
+@example(("cusum", LIMIT_MODEL, 0.0, [100.0], [np.array(r) for r in NEG_INF_ROWS]))
+def test_scan_table_matches_per_frame_recursion(case):
+    """``scan_table`` row by row against the per-frame recursion: equal
+    frames, or the two disagree only where the statistic is within the
+    block form's tolerance of the level."""
+    kind, model, omega, grid, rows = case
+    config = DetectorConfig(kind=kind, threshold=None, model=model, omega=omega)
+    levels = detector_levels(config, grid)
+    dataset = LabeledDataset.from_sequences(range(len(rows)), rows, [math.inf] * len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = scan_table(dataset, config, levels)
+        for x, got in zip(rows, table.tolist()):
+            path, tol, want = _reference(kind, model, omega, x, levels)
+            for level, g, w in zip(levels.tolist(), got, want):
+                if g == w:
+                    continue
+                g_end, w_end = (len(x) if f < 0 else f for f in (g, w))
+                if g_end < w_end:  # the block form alarms first: near the level there
+                    ok = path[g_end] >= level - tol[g_end]
+                else:  # it alarms later or never: near or below the level until then
+                    ok = bool(np.all(path[w_end:g_end] <= level + tol[w_end:g_end]))
+                assert ok, (kind, level, g, w, x.tolist())
