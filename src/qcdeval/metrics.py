@@ -6,11 +6,13 @@ read the same per-sequence columns: length T, changepoint ``nu`` and first
 alarm ``tau``. ``estimate_columns`` computes one of them at every column of
 a (sequences x thresholds) table of first alarms, from masks built once for
 the whole table: the KM metrics fit the product-limit curves of all columns
-as row blocks of ``arl_columns`` or ``add_columns`` samples (one fit per
-block, ``survival._restricted_rows``), the baselines average each column's
-selection. ``estimate`` is its one-column call. The object-level functions
-(``compute_metric``, ``km_arl``, ..., ``arl_samples``) match outcomes to
-sequences by id in one place, ``_columns``.
+as row blocks of about ``_KM_BLOCK_SAMPLES`` ``arl_columns`` or
+``add_columns`` samples (one fit per block, ``survival._restricted_rows``,
+whose restricted means are those of ``rmst`` and ``rmst_km_batch`` by one
+integral), the baselines average each column's selection. ``estimate`` is
+its one-column call. The object-level functions (``compute_metric``,
+``km_arl``, ..., ``arl_samples``) match outcomes to sequences by id in one
+place, ``_columns``.
 
 Conventions: the changepoint ``nu`` and the detection point ``tau`` are frame
 indices, with ``math.inf`` meaning "no change" / "no alarm". A sequence

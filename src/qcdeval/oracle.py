@@ -9,9 +9,9 @@ Three routes live here:
   integrals for restricted means under random censoring (``bias_bounds``),
   split at the censoring law's breakpoints, together with a
   Monte-Carlo bias measurement of the estimator under test
-  (``rmst_km_batch``) that must fall inside the bounds. A cell holds its
-  event draw, 8 B per sample, plus one block of censoring draws, flags and
-  product-limit work arrays.
+  (``rmst_km_batch``, the restricted-mean integral of the KM metrics) that
+  must fall inside the bounds. A cell holds its event draw, 8 B per sample,
+  plus one block of censoring draws, flags and product-limit work arrays.
 * An empirical check of the truncation-bias ordering between the
   censoring-aware and the selection-based estimators
   (``truncation_ordering_check``).
@@ -193,6 +193,8 @@ def _mc_rng(reps: int, seed: int, name: str) -> np.random.Generator:
         raise ValueError(f"{name} must be an integer, got {reps!r}")
     if reps < 2:  # a mean and its standard error need two replications
         raise ValueError(f"{name} must be >= 2, got {reps}")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):  # one uint64 key
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -3,7 +3,12 @@
 This module is the mathematical engine behind the censoring-aware run-length
 and detection-delay estimators: fitting the product-limit (Kaplan-Meier) step
 curve, integrating it exactly up to a horizon (restricted mean), and the
-matching restricted variance.
+matching restricted variance. Every restricted mean in the package, of one
+curve (``rmst``), of Monte-Carlo replications (``rmst_km_batch``) or of the
+KM metrics' threshold columns (``_restricted_rows``), is the one integral
+``_integrals``: the curves' rectangles back to back in flat arrays, summed
+per curve by one ``np.add.reduceat``, so a curve's value does not depend on
+which path or block it was fitted in.
 
 Tie convention: when an event and a censoring fall on the same time, the event
 is treated as happening first, so the censored sample still counts in the risk
@@ -166,24 +171,32 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
     return t, drop, at_risk, deaths, surv
 
 
-def _intervals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a):
-    """Left ends, right ends and values of the intervals of step curves on
-    [0, a], row after row in flat arrays. Row r of the (rows, n) inputs
-    drops to ``surv[r, j]`` at ``t[r, j]`` where ``drop[r, j]`` is set (only
-    below a), and is 1 before; its k drops close the interval at flat
-    position j + r and open the one at j + r + 1, k + 1 in all. ``a`` is one
-    horizon for every row, or a (rows,) array of them."""
+def _integrals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: np.ndarray):
+    """Restricted mean and second moment over [0, a[r]] of the step curve of
+    every row r of (rows, n) arrays: it drops to ``surv[r, j]`` at
+    ``t[r, j]`` where ``drop[r, j]`` is set (only below a[r]), and is 1
+    before. A row's k drops close k + 1 intervals, laid out row after row
+    in flat arrays; each moment is one ``np.add.reduceat`` of the interval
+    terms s * (right - left) and s * (right**2 - left**2), and a row's sum
+    does not depend on where its terms lie."""
+    rows, n = drop.shape
     at = np.flatnonzero(drop)
-    closes = at // drop.shape[1]
-    if np.ndim(a):  # each row's k + 1 intervals end at most at its own a
-        a = np.repeat(a, np.bincount(closes, minlength=drop.shape[0]) + 1)
-    closes += np.arange(at.size)
-    rights = np.full(drop.shape[0] + at.size, a)
+    closes = at // n
+    counts = np.bincount(closes, minlength=rows) + 1  # intervals per row
+    first = np.cumsum(counts) - counts
+    closes += np.arange(at.size)  # the interval that drop j + 1 ends
+    rights = np.repeat(a, counts)
     lefts = np.zeros_like(rights)
     s_vals = np.ones_like(rights)
     rights[closes] = lefts[closes + 1] = t.ravel()[at]
     s_vals[closes + 1] = surv.ravel()[at]
-    return lefts, rights, s_vals
+    del at, closes
+    value = np.add.reduceat(s_vals * (rights - lefts), first)
+    np.square(rights, out=rights)
+    np.square(lefts, out=lefts)
+    rights -= lefts
+    rights *= s_vals
+    return value, np.add.reduceat(rights, first)
 
 
 def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> StepSurvivalCurve:
@@ -221,9 +234,8 @@ def rmst(curve: StepSurvivalCurve, upper_limit: float) -> RestrictedMean:
     a = _checked_limit(upper_limit)
 
     drops = curve.drop_times[None]
-    lefts, rights, s_vals = _intervals(drops, drops < a, curve.survival_values[None], a)
-    value = float(np.sum(s_vals * (rights - lefts)))
-    second_moment = float(np.sum(s_vals * (rights**2 - lefts**2)))
+    value, second_moment = (float(x[0]) for x in _integrals(
+        drops, drops < a, curve.survival_values[None], np.full(1, a)))
     variance = second_moment - value**2
     if variance < 0.0:
         variance = 0.0
@@ -257,24 +269,8 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     values = np.empty(reps)
     for first in range(0, reps, step):
         rows = slice(first, first + step)
-        values[rows] = _rmst_rows(times[rows], events[rows], a)
+        values[rows] = _restricted_rows(times[rows], events[rows], 0, a)[1]
     return values
-
-
-def _rmst_rows(times: np.ndarray, events: np.ndarray, a: float) -> np.ndarray:
-    """``rmst_km_batch`` on one block of rows."""
-    t, drop, at_risk, deaths, surv = _product_limit(times, events)
-    del at_risk, deaths
-    drop &= t < a
-    counts = drop.sum(axis=1)
-
-    # The k + 1 terms s * (right - left) of a row with k drops below a are
-    # the terms rmst sums.
-    lefts, rights, s_vals = _intervals(t, drop, surv, a)
-    del t, drop, surv
-    terms = s_vals * (rights - lefts)
-    del lefts, rights, s_vals
-    return _row_sums(counts, terms)[0]
 
 
 def _restricted_rows(times: np.ndarray, events: np.ndarray, pads: np.ndarray, upper_limit):
@@ -286,9 +282,10 @@ def _restricted_rows(times: np.ndarray, events: np.ndarray, pads: np.ndarray, up
     ``upper_limit``), the restricted mean and second moment over [0, a],
     S(a), and the largest time. Each is the value, the ``variance``'s second
     moment, ``survival_at(a)`` and ``max_observed`` of ``rmst`` and
-    ``fit_km_arrays`` on the row's own samples, bit for bit.
+    ``fit_km_arrays`` on the row's own samples, bit for bit. ``pads`` may be
+    0 for a block without padding (``rmst_km_batch``).
     """
-    t, drop, at_risk, deaths, surv = _product_limit(times, events, pads[:, None])
+    t, drop, at_risk, deaths, surv = _product_limit(times, events, np.reshape(pads, (-1, 1)))
     del at_risk, deaths
     rows = np.arange(t.shape[0])
     t_max = t[rows, times.shape[1] - 1 - pads]
@@ -298,28 +295,5 @@ def _restricted_rows(times: np.ndarray, events: np.ndarray, pads: np.ndarray, up
     below = np.count_nonzero(t <= a[:, None], axis=1)
     tail = np.where(below > 0, surv[rows, below - 1], 1.0)
     drop &= t < a[:, None]
-    counts = drop.sum(axis=1)
-    lefts, rights, s_vals = _intervals(t, drop, surv, a)
-    del t, drop, surv
-    value, second = _row_sums(
-        counts, s_vals * (rights - lefts), s_vals * (rights**2 - lefts**2))
+    value, second = _integrals(t, drop, surv, a)
     return a, value, second, tail, t_max
-
-
-def _row_sums(counts: np.ndarray, *terms: np.ndarray) -> list:
-    """Per row, the sum of its counts[r] + 1 terms in each flat ``terms``
-    array, where the rows' terms lie back to back. Rows with the same k sum
-    one (rows, k + 1) gather, so each row's sum is the (k + 1)-term
-    ``np.sum`` of ``rmst``, bit for bit."""
-    first = np.cumsum(counts + 1) - (counts + 1)
-    sums = [np.empty(counts.size) for _ in terms]
-    by_count = np.argsort(counts, kind="stable")
-    ks, group_first, group_rows = np.unique(
-        counts[by_count], return_index=True, return_counts=True
-    )
-    for k, r, m in zip(ks.tolist(), group_first.tolist(), group_rows.tolist()):
-        group = by_count[r : r + m]
-        at = first[group, None] + np.arange(k + 1)
-        for out, x in zip(sums, terms):
-            out[group] = np.sum(x[at], axis=1)
-    return sums

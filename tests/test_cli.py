@@ -702,6 +702,21 @@ class TestSpecAndOracleManifest:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--model", "gaussian:0,0.1,0.1", "--detector", "gsr", "--threshold", "5",
+         "--reps", "200", "--horizon-cap", "10000"],
+        ["verify-bounds", "--family", "exp:1,unif:0,2", "--n", "5", "--a", "1"],
+    ], ids=["oracle", "verify-bounds"])
+    def test_seed_outside_uint64_exit_2(self, tmp_path, capsys, command, seed):
+        # Both exited 1 with an OverflowError traceback from np.uint64(seed).
+        out = tmp_path / "o.out"
+        assert main([*command, "--seed", seed, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_oracle_writes_manifest_with_result(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(

@@ -46,25 +46,25 @@ DETECTORS = {
 }
 
 PINNED = {
-    "curve-gsr.csv": "18b779cf9764ccc8b0172ffcc57f667193873fb3e81a45afe27d977ffdb5dda6",
+    "curve-gsr.csv": "a0705fc37b959456c7c53501a6daafe2ad62f00903087f3bac3a4261c353c01b",
     "curve-gsr.svg": "d749c3d7f662b9bf575adce92d9b0bff09fdefd26c2e3126aa587808478faa2f",
     "curve-gsr.csv.manifest.json": "45c24d9f9211be94c131fdc634e531a03d75e313b479474f61420f9778524b5d",
-    "curve-cusum.csv": "65560e4da7a26a4703491643b6a5ec1293fd201678df60d6d3b90a555622f54a",
+    "curve-cusum.csv": "533d81b23b8adb55108a906795bede7206c8d2309c0b34f421e6ba7ac4e082b8",
     "curve-cusum.svg": "9e63f09b4438758b523cdd3d2d14fd45c0d75150b297f91ce98f35be7c94332c",
     "curve-cusum.csv.manifest.json": "6fcfe326cc86bfe4a5b44be8952d60a21e847b4830092f19cbdfa37bfa4411a6",
-    "curve-ewma.csv": "2e243e5cce0a6df9e98c7de6b9b3f08e73291462c4f8d2856454df9f92bd5207",
+    "curve-ewma.csv": "95b57e8cf42c3be61408f059d6c90788ac21b5220cfe41051940c4dfbf966aab",
     "curve-ewma.svg": "59a658529bc31fa4739863f8e18f7791cdd65ab33fb4d71c45b69339a60493a5",
     "curve-ewma.csv.manifest.json": "6aa5f65250d7846fc974b09b2dca58d9b47ae8a6aa07805627ad57503fae9cd5",
-    "curve-window-l1.csv": "9f63da619b6ef3c098aaa2c9c07249f19e9717a4e44a9fb9553796b9f79e684e",
+    "curve-window-l1.csv": "6dcdb5703e496f3403f93650d9db1f583704f2cf75eeb2c21b3bf743ed9d8d93",
     "curve-window-l1.svg": "1992deddb802f7f71d68f23237c8f1109585f4d0c1283c1f226c25900d22ab3d",
     "curve-window-l1.csv.manifest.json": "50322cdb718a83d129cb43c46cc0ecc6ae9325a2070eb9f7fd62a9a987d60623",
-    "curve-window-normal.csv": "e69844ebe642523e00e039eadd62f018ebbb330e09241449503b87e61686384d",
+    "curve-window-normal.csv": "0ce17691dcde1be6ffc58e86601969827be73e91e3cd9edc48d52996c1d44977",
     "curve-window-normal.svg": "1286a9250c528abb4b095e98187579cccdad3ed6d76074260f1cabae25253eff",
     "curve-window-normal.csv.manifest.json": "d7aa8cfe1acb6f495a335f87257a808ced85302aea75dc9e124b876c19251185",
-    "curve-gsr-poisson.csv": "8637abec41b8013c0d5a8a4db2ae2207ba1c2a664e0491d5cb41391b691925a1",
+    "curve-gsr-poisson.csv": "2ecf889d334a01fc85f3b283446dc4996ae1c5ea648a178534b0eefe09207bf2",
     "curve-gsr-poisson.svg": "5eb469c3ce6cbb6864ae85b85371362ac48e87d058d22f62b2befaa1def1e0c2",
     "curve-gsr-poisson.csv.manifest.json": "656f4ee832a2933cef54a65c5185754aed49b5a446eb17851efd876820eb9363",
-    "evaluate.json": "d701b3f601c103af6ce0ff3707334e80bfdb249bd571841ddfb90faa54b4ae69",
+    "evaluate.json": "3849ce391fda6dc4f2baf3bea5def19da3030316f8b77d6aec5f9f66b3389c27",
     "evaluate.json.manifest.json": "410190042207b9108be3da122c9b0e318c3dd6945b4df93aee5d9a4e19cff392",
     "survival-arl.csv": "15726afa4b0df0fc3a9c0b80b10b372a4b07162e93382538429bdd85aa999c13",
     "survival-arl.csv.manifest.json": "5643814d714b23b1965a13f1a75e52613ebe72034954ed1ae9eec2fdd0cdfefa",

@@ -417,7 +417,7 @@ class TestStoredHash:
                 "--thresholds", "1,10,100", "--out", str(out)]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        return json.loads(open(f"{out}.manifest.json").read())["dataset_hash"]
+        return json.loads(out.with_name(f"{out.name}.manifest.json").read_text())["dataset_hash"]
 
     @staticmethod
     def _fresh_hash(data, monkeypatch):

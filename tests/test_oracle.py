@@ -473,6 +473,25 @@ class TestSharedEstimator:
         else:
             calls[name]()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("name", ["bias_bounds", "true_arl_mc", "true_add_mc"])
+    def test_seed_must_be_one_uint64(self, name, seed):
+        # -1 and 2**64 raised OverflowError, and 1.9 ran as seed 1.
+        cfg = DetectorConfig(kind="gsr", threshold=5.0, model=GAUSS)
+        calls = {
+            "bias_bounds": lambda: bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0,
+                                               mc_reps=10, seed=seed),
+            "true_arl_mc": lambda: true_arl_mc(GAUSS, cfg, n_reps=10, horizon_cap=2000,
+                                               seed=seed),
+            "true_add_mc": lambda: true_add_mc(GAUSS, cfg, ("fixed", 3), n_reps=10,
+                                               horizon_cap=2000, seed=seed),
+        }
+        if isinstance(seed, np.integer):
+            calls[name]()
+        else:
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                calls[name]()
+
 
 class TestFirstAlarmLoop:
     """Rebuild each replication's stream from the recorded draws and rescan it

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcdeval.survival import (
     SurvivalSample,
+    _restricted_rows,
     fit_km,
     fit_km_arrays,
     rmst,
@@ -276,6 +277,75 @@ class TestBatchRMST:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def restricted_moments_reference(curve, a):
+    """Restricted mean and second moment over [0, a] of a fitted curve: its
+    rectangles built one by one in plain Python floats from ``drop_times``
+    and ``survival_values``, each moment summed exactly by ``math.fsum``."""
+    left, s = 0.0, 1.0
+    areas, seconds = [], []
+    for t, value in zip(curve.drop_times.tolist(), curve.survival_values.tolist()):
+        if t >= a:
+            break
+        areas.append(s * (t - left))
+        seconds.append(s * (t * t - left * left))
+        left, s = t, value
+    areas.append(s * (a - left))
+    seconds.append(s * (a * a - left * left))
+    return math.fsum(areas), math.fsum(seconds)
+
+
+class TestRestrictedMeanReference:
+    """``rmst``, ``rmst_km_batch`` and ``_restricted_rows`` (the KM metrics'
+    block fit) against ``restricted_moments_reference``. The terms are the
+    same floats on both sides and the reference sums them exactly, so the
+    only error left is numpy's summation of k non-negative terms, which
+    pairwise summation keeps near log2(k) ulp: the 1e-12 relative bound
+    holds with room up to k = 10**5, and a zero reference must be met
+    exactly."""
+
+    BOUND = 1e-12
+
+    @staticmethod
+    def _rows():
+        rng = np.random.default_rng(21)
+        rows = [(np.array([5.0]), np.array([True])), (np.array([5.0]), np.array([False]))]
+        for n in (2, 9, 130, 1000, 100_000):
+            events = rng.random(n) < 0.6
+            rows.append((rng.exponential(30.0, n), events))
+            rows.append((rng.integers(0, 100, n).astype(float), events))  # ties
+        return rows
+
+    def _close(self, got, want):
+        assert abs(got - want) <= self.BOUND * want, (got, want)
+
+    # 0, inside the data (on a drop time of the tied rows), beyond it
+    @pytest.mark.parametrize("a", [0.0, 20.0, 1e4])
+    def test_every_path_matches_the_exact_sum(self, a):
+        rows = self._rows()
+        for times, events in rows:
+            value, second = restricted_moments_reference(fit_km_arrays(times, events), a)
+            self._close(rmst(fit_km_arrays(times, events), a).value, value)
+            self._close(rmst_km_batch(times[None], events[None], a)[0], value)
+            _, got_value, got_second, _, _ = _restricted_rows(times[None], events[None], 0, a)
+            self._close(got_value[0], value)
+            self._close(got_second[0], second)
+
+        # The rows below 10**5 samples in one block, padded with +inf
+        # censorings to one width, as the KM metrics fit them.
+        small = [r for r in rows if r[0].size < 100_000]
+        counts = np.array([t.size for t, _ in small])
+        width = counts.max()
+        times = np.full((counts.size, width), np.inf)
+        events = np.zeros((counts.size, width), dtype=bool)
+        for i, (t, e) in enumerate(small):
+            times[i, : t.size], events[i, : t.size] = t, e
+        _, got_value, got_second, _, _ = _restricted_rows(times, events, width - counts, a)
+        for (t, e), v, m in zip(small, got_value, got_second):
+            value, second = restricted_moments_reference(fit_km_arrays(t, e), a)
+            self._close(v, value)
+            self._close(m, second)
 
 
 class TestCSVExport:
