@@ -295,10 +295,15 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     lengths = dataset.lengths
     keep = lengths >= min_length
     dropped = len(dataset) - int(np.count_nonzero(keep))
-    diagnostics, nu = [], dataset.nu.tolist()
-    for i in np.flatnonzero(keep).tolist():
+    # SequenceMeta's changepoint check on every kept row at once; only the
+    # rows it flags build a SequenceMeta, for its diagnostic.
+    nu = dataset.nu
+    bad = keep & (nu != INF) & ((nu < 0) | (nu != np.floor(nu)) | (nu >= lengths))
+    diagnostics = []
+    for i in np.flatnonzero(bad).tolist():
         try:
-            SequenceMeta(id=dataset.ids[i], length_T=int(lengths[i]), changepoint_nu=nu[i])
+            SequenceMeta(id=dataset.ids[i], length_T=int(lengths[i]),
+                         changepoint_nu=float(nu[i]))
         except ValueError as exc:
             keep[i] = False
             diagnostics.append(str(exc))

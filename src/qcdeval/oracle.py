@@ -30,6 +30,7 @@ from numpy.polynomial.legendre import leggauss
 from ._kernels import TIE_SLACK
 from .detectors import DetectorConfig, LikelihoodModel, detector_levels
 from .metrics import MetricEstimate
+from .simulate import _checked_seed
 from .survival import _BLOCK_SAMPLES, rmst_km_batch
 
 __all__ = [
@@ -193,9 +194,7 @@ def _mc_rng(reps: int, seed: int, name: str) -> np.random.Generator:
         raise ValueError(f"{name} must be an integer, got {reps!r}")
     if reps < 2:  # a mean and its standard error need two replications
         raise ValueError(f"{name} must be >= 2, got {reps}")
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):  # one uint64 key
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(_checked_seed(seed))))
 
 
 def bias_bounds(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,14 @@ __all__ = [
 _TRUNCATE_STREAM = 0x9E3779B97F4A7C15  # separates truncation draws from generation
 
 
+def _checked_seed(seed):
+    """``seed``, if it is an integer in [0, 2**64): one uint64 key, which
+    no other seed shares."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Recipe for one synthetic dataset.
@@ -41,6 +50,7 @@ class SimSpec:
     length_law: ("fixed", T) or ("uniform", lo, hi), frames per sequence.
     changepoint_law: ("geometric", p) with support {0, 1, ...},
     ("uniform",) over {0, ..., T-1}, or ("none",).
+    seed: an integer in [0, 2**64), the key of every sequence's stream.
     """
 
     model: LikelihoodModel
@@ -64,6 +74,7 @@ class SimSpec:
             raise ValueError("with_change_fraction must be in [0, 1]")
         if law[0] == "none" and self.with_change_fraction > 0:
             raise ValueError("changepoint law 'none' requires fraction 0")
+        _checked_seed(self.seed)
 
     def to_json(self) -> dict:
         m = self.model
@@ -99,7 +110,7 @@ class SimSpec:
                 length_law=tuple(obj["length_law"]),
                 changepoint_law=tuple(obj.get("changepoint_law", ["none"])),
                 with_change_fraction=float(obj.get("with_change_fraction", 0.0)),
-                seed=int(obj.get("seed", 0)),
+                seed=obj.get("seed", 0),
             )
         except KeyError as exc:
             raise ValueError(f"simulation spec is missing key {exc}") from None
@@ -254,6 +265,7 @@ def truncate(dataset: LabeledDataset, length_law, seed: int = 0) -> LabeledDatas
     changepoint cut off by truncation becomes "no change".
     """
     _check_length_law(length_law)
+    _checked_seed(seed)
     draws = np.array([_draw_length(_seq_rng(seed, i, stream=_TRUNCATE_STREAM), length_law)
                       for i in range(len(dataset))], dtype=np.int64)
     lengths = np.minimum(draws, dataset.lengths)

@@ -8,7 +8,12 @@ curve (``rmst``), of Monte-Carlo replications (``rmst_km_batch``) or of the
 KM metrics' threshold columns (``_restricted_rows``), is the one integral
 ``_integrals``: the curves' rectangles back to back in flat arrays, summed
 per curve by one ``np.add.reduceat``, so a curve's value does not depend on
-which path or block it was fitted in.
+which path or block it was fitted in. ``rmst_km_batch`` sums the value
+alone.
+
+Monte-Carlo replications draw from continuous laws and never tie, and a
+block without ties skips the tie-group bookkeeping of the fit (see
+``_product_limit``); its curves are the same, bit for bit.
 
 Tie convention: when an event and a censoring fall on the same time, the event
 is treated as happening first, so the censored sample still counts in the risk
@@ -138,6 +143,14 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
     ``pads`` (a (rows, 1) array) says how many of a row's samples are +inf
     censorings that only pad it to width n: they sort last and are left out
     of ``at_risk``, so the row's fit is that of its other samples.
+
+    When no row of the block holds two equal times, each sample is its own
+    tie group: ``at_risk`` is n - pads less its position (one row, broadcast,
+    when ``pads`` is 0), ``deaths`` and ``drop`` its event flag, and the
+    factor 1 - e * (1 / at_risk) equals the tie-group path's 1 - d / at_risk
+    bit for bit (1 / k is the same division, and times 0 or 1 is exact).
+    Two pads tie, so a row there holds at most one; it sorts last with
+    ``at_risk`` 0 and no event, and its inverse is taken of 1 instead.
     """
     rows, n = times.shape
     # One sort key per sample: the bits of a non-negative float64 order as
@@ -147,38 +160,48 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
     key <<= 1
     key |= ~events
     key.sort(axis=1)
-    t = (key >> 1).view(np.float64)
     e = (key & 1) == 0
-    del key
+    key >>= 1
+    t = key.view(np.float64)
 
-    new_time = np.ones((rows, n), dtype=bool)
-    new_time[:, 1:] = t[:, 1:] != t[:, :-1]
-    start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
-    at_risk = (n - pads) - start
-    # Flat gather: element j of row r is element r*n + j of the raveled array.
-    start += (np.arange(rows) * n)[:, None]
-    deaths = np.cumsum(e, axis=1)  # events up to each position, less
-    deaths -= (deaths - e).ravel()[start]  # those before its tie group
-    del start
-    drop = deaths > 0
-    drop[:, :-1] &= new_time[:, 1:]
-    del new_time
-    with np.errstate(invalid="ignore"):  # pads: 0 / 0, set to 1 below
-        surv = deaths / at_risk
+    tied = t[:, 1:] == t[:, :-1]  # a sample tied with the one before it
+    if not tied.any():
+        # One group per sample (see above); a lone pad: at_risk 0, no event.
+        at_risk = (n - pads) - np.arange(n)  # one row, or one per row with pads
+        surv = e * (1.0 / np.maximum(at_risk, 1))
+        at_risk = np.broadcast_to(at_risk, (rows, n))
+        drop, deaths = e, e.astype(np.intp)
+    else:
+        new_time = np.ones((rows, n), dtype=bool)
+        np.logical_not(tied, out=new_time[:, 1:])
+        start = np.maximum.accumulate(np.where(new_time, np.arange(n), 0), axis=1)
+        del new_time
+        at_risk = (n - pads) - start
+        # Flat gather: element j of row r is element r*n + j of the raveled array.
+        start += (np.arange(rows) * n)[:, None]
+        deaths = np.cumsum(e, axis=1)  # events up to each position, less
+        deaths -= (deaths - e).ravel()[start]  # those before its tie group
+        del start
+        drop = deaths > 0
+        drop[:, :-1] &= ~tied
+        with np.errstate(invalid="ignore"):  # pads: 0 / 0, set to 0 below
+            surv = deaths / at_risk
+        surv[~drop] = 0.0
     np.subtract(1.0, surv, out=surv)
-    surv[~drop] = 1.0
     np.cumprod(surv, axis=1, out=surv)
     return t, drop, at_risk, deaths, surv
 
 
-def _integrals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: np.ndarray):
+def _integrals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: np.ndarray,
+               second: bool = True):
     """Restricted mean and second moment over [0, a[r]] of the step curve of
     every row r of (rows, n) arrays: it drops to ``surv[r, j]`` at
     ``t[r, j]`` where ``drop[r, j]`` is set (only below a[r]), and is 1
     before. A row's k drops close k + 1 intervals, laid out row after row
     in flat arrays; each moment is one ``np.add.reduceat`` of the interval
     terms s * (right - left) and s * (right**2 - left**2), and a row's sum
-    does not depend on where its terms lie."""
+    does not depend on where its terms lie. With ``second`` false, the
+    second moment is skipped and returned as None."""
     rows, n = drop.shape
     at = np.flatnonzero(drop)
     closes = at // n
@@ -192,6 +215,8 @@ def _integrals(t: np.ndarray, drop: np.ndarray, surv: np.ndarray, a: np.ndarray)
     s_vals[closes + 1] = surv.ravel()[at]
     del at, closes
     value = np.add.reduceat(s_vals * (rights - lefts), first)
+    if not second:
+        return value, None
     np.square(rights, out=rights)
     np.square(lefts, out=lefts)
     rights -= lefts
@@ -254,13 +279,14 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
 
     ``times`` and ``events`` are (reps, n) arrays; each row is one dataset.
     Row i is the same fit and the same step integral as
-    ``rmst(fit_km_arrays(row i), upper_limit).value``; used by the Monte-Carlo
-    side of the bias-bound verification, where fitting rows one at a time
-    would dominate the runtime. Rows are fitted in blocks of about
-    ``_BLOCK_SAMPLES`` samples, so the working memory does not grow with reps:
-    beyond the inputs and the output, one block's. ``bias_bounds`` passes one
-    such block per call, so a bias-bound cell holds 8 B per sample for its
-    event draw plus one block.
+    ``rmst(fit_km_arrays(row i), upper_limit).value``, bit for bit, but only
+    the value is computed: no second moment, S(a) or largest time. Used by
+    the Monte-Carlo side of the bias-bound verification, where fitting rows
+    one at a time would dominate the runtime. Rows are fitted in blocks of
+    about ``_BLOCK_SAMPLES`` samples, so the working memory does not grow
+    with reps: beyond the inputs and the output, one block's.
+    ``bias_bounds`` passes one such block per call, so a bias-bound cell
+    holds 8 B per sample for its event draw plus one block.
     """
     times, events = _checked_samples(times, events, ndim=2)
     a = _checked_limit(upper_limit)
@@ -269,7 +295,10 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     values = np.empty(reps)
     for first in range(0, reps, step):
         rows = slice(first, first + step)
-        values[rows] = _restricted_rows(times[rows], events[rows], 0, a)[1]
+        t, drop, at_risk, deaths, surv = _product_limit(times[rows], events[rows])
+        del at_risk, deaths
+        drop &= t < a
+        values[rows] = _integrals(t, drop, surv, np.full(t.shape[0], a), second=False)[0]
     return values
 
 
@@ -283,7 +312,7 @@ def _restricted_rows(times: np.ndarray, events: np.ndarray, pads: np.ndarray, up
     S(a), and the largest time. Each is the value, the ``variance``'s second
     moment, ``survival_at(a)`` and ``max_observed`` of ``rmst`` and
     ``fit_km_arrays`` on the row's own samples, bit for bit. ``pads`` may be
-    0 for a block without padding (``rmst_km_batch``).
+    0 for a block without padding.
     """
     t, drop, at_risk, deaths, surv = _product_limit(times, events, np.reshape(pads, (-1, 1)))
     del at_risk, deaths

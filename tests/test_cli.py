@@ -687,6 +687,25 @@ class TestSpecAndOracleManifest:
         assert "needs whole lengths" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, in_spec", [
+        ("-1", 9), (str(2**64), 9), (None, -1), (None, 1.9), (None, 2**64),
+    ], ids=["flag-1", "flag-2**64", "spec-1", "spec-1.9", "spec-2**64"])
+    def test_simulate_seed_outside_uint64_exit_2(self, tmp_path, capsys, flag, in_spec):
+        # --seed -1 and a spec seed of -1 wrote seed 2**64 - 1's dataset, and
+        # a spec seed of 1.9 that of seed 1.
+        spec = SimSpec(model=LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1),
+                       n_sequences=3, length_law=("fixed", 5)).to_json()
+        spec["seed"] = in_spec
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        seed = flag if flag is not None else in_spec
+        args = ["simulate", "--spec", str(path), "--out", str(tmp_path / "d.jsonl")]
+        assert main([*args, *(["--seed", flag] if flag else [])]) == 2
+        captured = capsys.readouterr()
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
     def test_oracle_failure_leaves_no_manifest(self, tmp_path):
         out = tmp_path / "o.json"
         code = main(

@@ -19,7 +19,7 @@ from qcdeval.harness import (
     sweep,
     write_manifest,
 )
-from qcdeval.metrics import INF, METRIC_NAMES
+from qcdeval.metrics import INF, METRIC_NAMES, SequenceMeta
 from qcdeval.simulate import LabeledDataset, SimSpec, save_jsonl, simulate
 
 GAUSS = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1)
@@ -67,6 +67,26 @@ class TestIngest:
         assert len(ds) == 0
         assert ds.ingest_report.n_rejected == 1
         assert "a" in ds.ingest_report.diagnostics[0]
+
+    def test_rejections_equal_per_record_check(self, tmp_path):
+        # Every changepoint SequenceMeta rejects, next to ones it keeps; the
+        # short record "s" is dropped before its changepoint is looked at.
+        nus = [None, 0, 4, 5, 7, -1, 2.5, -0.5, 1e300, 3, 5.0, 0.0]
+        records = [{"id": f"r{i}", "values": [0.0] * 5, "nu": nu} for i, nu in enumerate(nus)]
+        records.insert(3, {"id": "s", "values": [0.0], "nu": 9})
+        ds = ingest(write_jsonl(tmp_path, records), min_length=2)
+        want, kept = [], []
+        for r in records[:3] + records[4:]:
+            try:
+                SequenceMeta(id=r["id"], length_T=5,
+                             changepoint_nu=INF if r["nu"] is None else float(r["nu"]))
+                kept.append(r["id"])
+            except ValueError as exc:
+                want.append(str(exc))
+        report = ds.ingest_report
+        assert report.diagnostics == tuple(want) and len(want) == 7
+        assert (report.n_loaded, report.n_dropped_short, report.n_rejected) == (5, 1, 7)
+        assert ds.ids == kept
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

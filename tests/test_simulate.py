@@ -69,6 +69,20 @@ class TestSimSpec:
         assert SimSpec.from_json(s2.to_json()).model.kind == "poisson"
 
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, 1.0, "3", None])
+    def test_seed_must_be_one_uint64(self, seed):
+        # -1 drew seed 2**64 - 1's dataset and 2**64 seed 0's; from_json
+        # read 1.9 as 1.
+        match = r"seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=match):
+            spec(seed=seed)
+        with pytest.raises(ValueError, match=match):
+            SimSpec.from_json({**spec().to_json(), "seed": seed})
+        with pytest.raises(ValueError, match=match):
+            truncate(simulate(spec(n_sequences=2)), ("fixed", 3), seed=seed)
+        assert spec(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
 class TestSequenceStreams:
     @pytest.mark.parametrize("stream", [0, _TRUNCATE_STREAM])
     def test_matches_jumped_philox(self, stream):

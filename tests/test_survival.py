@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcdeval.survival import (
     SurvivalSample,
+    _product_limit,
     _restricted_rows,
     fit_km,
     fit_km_arrays,
@@ -277,6 +278,94 @@ class TestBatchRMST:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@st.composite
+def tie_free_blocks(draw):
+    """A (rows, n) block of continuous draws, so no row holds two equal
+    times, with event flags, a per-row count of +inf pads (0 or 1: a lone
+    pad ties with nothing) and a horizon. Some blocks hold -0.0."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.exponential(1.0, (rows, n))
+    if draw(st.booleans()):
+        times[:, rng.integers(n)] = -0.0
+    events = rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    pads = np.zeros(rows, dtype=np.int64)
+    if n > 1:  # a row keeps at least one sample of its own
+        pads[:] = rng.random(rows) < 0.5
+    a = draw(st.sampled_from([0.0, 0.5, 1.0, 100.0]))
+    return times, events, pads, a
+
+
+def tie_group_block(times, events, pads):
+    """The block, with its per-row pad counts, plus one extra row holding a
+    tie, which sends every row of it down the tie-group path. A block of
+    width 1 cannot hold a tie, so its rows are first widened by one +inf pad
+    each, which the fit leaves out."""
+    rows, n = times.shape
+    if n == 1:
+        times = np.hstack([times, np.full((rows, 1), np.inf)])
+        events = np.hstack([events, np.zeros((rows, 1), dtype=bool)])
+        pads = pads + 1
+    width = times.shape[1]
+    return (np.vstack([times, np.ones(width)]), np.vstack([events, np.ones(width, dtype=bool)]),
+            np.append(pads, 0)[:, None])
+
+
+class TestTieFreeBranch:
+    """``_product_limit`` fits a block whose rows hold no tied times with one
+    group per sample; every row must come out of it as it comes out of the
+    tie-group path, bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(tie_free_blocks())
+    def test_equals_the_tie_group_path(self, block):
+        times, events, pads, a = block
+        rows, n = times.shape
+        padded = times.copy()
+        padded[pads == 1, -1] = np.inf
+        padded_events = events & (padded < np.inf)
+        assert not (np.diff(np.sort(padded, axis=1), axis=1) == 0).any()
+        alone = _product_limit(padded, padded_events, pads[:, None])
+        forced = _product_limit(*tie_group_block(padded, padded_events, pads))
+        for name, got, want in zip(("t", "drop", "at_risk", "deaths", "surv"), alone, forced):
+            want = want[:rows, :n]
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+        # Without pads: rmst_km_batch's value-only integral against the
+        # tie-group fit and its full integral, and fit_km_arrays row by row.
+        got = rmst_km_batch(times, events, a)
+        forced = tie_group_block(times, events, np.zeros(rows, dtype=np.int64))
+        assert got.tobytes() == _restricted_rows(*forced, a)[1][:rows].tobytes()
+        t, drop, at_risk, deaths, surv = (x[:rows, :n] for x in _product_limit(*forced))
+        for row in range(rows):
+            curve = fit_km_arrays(times[row], events[row])
+            assert got[row] == rmst(curve, a).value
+            at = drop[row]
+            for g, w in zip((curve.drop_times, curve.survival_values, curve.at_risk,
+                             curve.deaths), (t[row, at], surv[row, at], at_risk[row, at],
+                                             deaths[row, at])):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_width_one_and_lone_pads(self):
+        t, drop, at_risk, deaths, surv = _product_limit(
+            np.array([[0.0], [-0.0], [2.0]]), np.array([[True], [False], [True]]))
+        assert t.tobytes() == np.array([[0.0], [0.0], [2.0]]).tobytes()
+        assert drop.ravel().tolist() == [True, False, True]
+        assert at_risk.tolist() == [[1], [1], [1]]
+        assert deaths.tolist() == [[1], [0], [1]]
+        assert surv.ravel().tolist() == [0.0, 1.0, 0.0]
+        assert rmst_km_batch([[3.0], [0.5]], [[True], [False]], 1.0).tolist() == [1.0, 1.0]
+
+        # A lone pad is at risk 0 and must not divide by it.
+        times = np.array([[0.5, np.inf], [0.25, 0.75]])
+        events = np.array([[True, False], [False, True]])
+        _, drop, at_risk, deaths, surv = _product_limit(times, events, np.array([[1], [0]]))
+        assert at_risk.tolist() == [[1, 0], [2, 1]]
+        assert surv.tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def restricted_moments_reference(curve, a):
