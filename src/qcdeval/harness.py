@@ -12,9 +12,9 @@ offsets and widths). Every run of a detector over a dataset goes through
 (``detectors.scan_table``), and the dataset's lengths and changepoints are
 read as float columns. The result is the (lengths, nu, tau) triple the
 metrics read, with tau a (sequences x thresholds) table of first alarms (inf
-for no alarm). ``sweep`` computes each metric at every threshold from it
-with one ``metrics.estimate_columns`` call over the whole table, and the
-CLI's ``survival`` fits one column of it.
+for no alarm). ``sweep`` computes every metric at every threshold from it
+with one ``metrics._estimates`` call (one ARL and one ADD sample table for
+all metrics), and the CLI's ``survival`` fits one column of it.
 Sequences are never matched by id: ``ingest`` rejects a repeated id.
 
 ``ingest`` parses a regular data file once: it saves the parsed dataset's
@@ -51,7 +51,7 @@ import numpy as np
 from .detectors import DetectorConfig, detector_levels, scan_table
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
-from .metrics import INF, DetectionOutcome, SequenceMeta, estimate_columns
+from .metrics import INF, DetectionOutcome, SequenceMeta, _estimates
 # Unused here, kept because qcdbench's traced runs wrap harness.compute_metric.
 from .metrics import compute_metric  # noqa: F401
 from .simulate import LabeledDataset
@@ -353,9 +353,9 @@ def sweep(
     workers: int = 1,
 ) -> SweepResult:
     """Evaluate the requested metrics at every threshold of the grid, from one
-    detector scan of the dataset (``config.threshold`` is not used).
-    ``workers`` has no effect; it stays because the acceptance tests pass
-    it."""
+    detector scan and one ``metrics._estimates`` call (``config.threshold``
+    is not used). ``workers`` has no effect; it stays because the acceptance
+    tests pass it."""
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
         raise ValueError("empty threshold grid")
@@ -366,7 +366,7 @@ def sweep(
         raise ValueError("no metrics requested")
 
     lengths, nu, taus = alarm_columns(dataset, config, thresholds)
-    columns = {name: estimate_columns(name, lengths, nu, taus) for name in metrics}
+    columns = _estimates(metrics, lengths, nu, taus)
     points = [
         CurvePoint(threshold=thr, estimates={name: columns[name][j] for name in metrics})
         for j, thr in enumerate(thresholds)

@@ -2,15 +2,18 @@
 
 Computes the censoring-aware estimators (KM-ARL, KM-ADD) next to the
 conventional selection-based baselines (LB-ARL, LB-ADD, Naive ARL). All five
-read the same per-sequence columns: length T, changepoint ``nu`` and first
-alarm ``tau``. ``estimate_columns`` computes one of them at every column of
-a (sequences x thresholds) table of first alarms, from masks built once for
-the whole table: the KM metrics fit the product-limit curves of all columns
-as row blocks of about ``_KM_BLOCK_SAMPLES`` ``arl_columns`` or
-``add_columns`` samples (one fit per block, ``survival._restricted_rows``,
-whose restricted means are those of ``rmst`` and ``rmst_km_batch`` by one
-integral), the baselines average each column's selection. ``estimate`` is
-its one-column call. The object-level functions (``compute_metric``,
+read two sample tables of a (sequences x thresholds) table of first alarms,
+each rule written once: the ARL table (``arl_columns``) and the ADD table
+(``_add_table``), built in blocks of about ``_KM_BLOCK_SAMPLES`` cells that
+every metric reads. KM-ARL and KM-ADD fit each threshold's product-limit
+curve (``survival._restricted_rows``, one integral with ``rmst``); the
+baselines are the tables' uncensored cells: Naive ARL averages the ARL
+events, LB-ARL those of no-change sequences, LB-ADD the ADD events. So an
+alarm that is NaN or finite outside [0, T) raises, instead of being
+censored by one metric and averaged by another. ``_estimates`` computes any
+metrics from one pass over the tables (``sweep`` calls it),
+``estimate_columns`` one metric and ``estimate`` one column. The
+object-level functions (``compute_metric``,
 ``km_arl``, ..., ``arl_samples``) match outcomes to sequences by id in one
 place, ``_columns``.
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SurvivalSample, _checked_samples, _restricted_rows
+from .survival import SurvivalSample, _restricted_rows
 # Unused here, kept because qcdbench's traced runs wrap metrics.fit_km and
 # metrics.rmst.
 from .survival import fit_km, rmst  # noqa: F401
@@ -56,9 +59,10 @@ INF = math.inf
 
 METRIC_NAMES = ("km-arl", "km-add", "lb-arl", "lb-add", "naive-arl")
 
-# Samples per block of KM rows: about 1 MB of working arrays, less than the
-# detector scan's own peak at the 1k-sequence benchmark size, so the metrics
-# never set a curve's peak memory.
+# Cells per block of the sample tables (whole thresholds, at least one):
+# about 1 MB of working arrays, less than the detector scan's own peak at the
+# 1k-sequence benchmark size, so the metrics never set a curve's peak memory.
+# Whole tables would add about 26 MB at 20k sequences x 40 thresholds.
 _KM_BLOCK_SAMPLES = 2**14
 
 
@@ -146,89 +150,107 @@ def _columns(metas, outcomes):
 
 
 def arl_columns(lengths, nu, tau):
-    """Run-length samples: an event at tau when tau < min(nu, T), otherwise
-    censored at min(nu, T)."""
+    """The ARL table, laid out as ``tau`` (one column or a K x n table): an
+    event at tau when tau < min(nu, T), otherwise censored at min(nu, T)."""
     censor = np.minimum(nu, lengths)
     events = tau < censor
     return np.where(events, tau, censor), events
 
 
+def _add_table(lengths, nu, tau):
+    """The ADD table (times, events, used), laid out as ``tau``: a sequence
+    with a change and no alarm before it gives an event at tau - nu, or a
+    censoring at T - nu if it never alarmed; any other cell is unused, a
+    +inf censoring (a pad of ``survival._restricted_rows``)."""
+    used = (nu != INF) & (tau >= nu)
+    events = used & (tau != INF)
+    times = np.where(events, tau, lengths) - nu
+    times[~used] = INF
+    return times, events, used
+
+
 def add_columns(lengths, nu, tau):
-    """Delay samples over sequences with a change and no alarm before it: an
-    event at tau - nu for a finite alarm, otherwise censored at T - nu."""
-    keep = (nu != INF) & ~(tau < nu)
-    tau, nu = tau[keep], nu[keep]
-    events = tau != INF
-    return np.where(events, tau - nu, lengths[keep] - nu), events
+    """One column's delay samples: the used cells of the ADD table."""
+    times, events, used = _add_table(lengths, nu, tau)
+    return times[used], events[used]
 
 
-def _km_columns(name, lengths, nu, taus, upper_limit):
-    """KM-ARL or KM-ADD at every column of ``taus``: the columns' samples
-    are fitted as row blocks of about ``_KM_BLOCK_SAMPLES`` samples (one row
-    per block when a column holds more), KM-ADD rows padded to the block's
-    widest with +inf censorings."""
-    n, k = taus.shape
-    if name == "km-arl":
-        counts = np.full(k, n)
-    else:
-        counts = np.count_nonzero((nu != INF)[:, None] & ~(taus < nu[:, None]), axis=0)
-    out = [_undefined(name)] * k
-    step = max(1, _KM_BLOCK_SAMPLES // max(int(counts.max(initial=0)), 1))
-    for first in range(0, k, step):
-        cols = np.arange(first, min(first + step, k))
-        cols = cols[counts[cols] > 0]
-        if not cols.size:
-            continue
-        tau = np.ascontiguousarray(taus[:, cols].T)
-        if name == "km-arl":
-            times, events = arl_columns(lengths, nu, tau)
-            _checked_samples(times, events, ndim=2)
-            pads = np.zeros(cols.size, dtype=np.int64)
-        else:
-            # The rows' delays back to back, then one row per column.
-            delay, event = add_columns(*np.broadcast_arrays(lengths, nu, tau))
-            _checked_samples(delay, event, ndim=1)
-            width = int(counts[cols].max())
-            fill = np.arange(width) < counts[cols, None]
-            times = np.full(fill.shape, INF)
-            times[fill] = delay
-            events = np.zeros(fill.shape, dtype=bool)
-            events[fill] = event
-            pads = width - counts[cols]
-        rows = _restricted_rows(times, events, pads, upper_limit)
-        for c, *row in zip(cols.tolist(), *(x.tolist() for x in rows)):
-            out[c] = _km(name, int(counts[c]), *row)
+def _checked_columns(lengths, nu, tau):
+    """Raise unless every length is finite and >= 0, every changepoint >= 0
+    (inf: no change) and every alarm inf (no alarm) or in [0, T)."""
+    alarm = (tau < lengths) | (tau == INF)
+    alarm &= tau >= 0
+    for what, x, ok in (("length", lengths, (lengths >= 0) & (lengths < INF)),
+                        ("changepoint", nu, nu >= 0), ("alarm", tau, alarm)):
+        if not ok.all():
+            i = int(np.argmin(ok.ravel()))  # the first bad cell
+            seq = i % lengths.size
+            raise ValueError(
+                f"invalid {what} {x.flat[i]} of sequence {seq} (length {lengths[seq]:g})")
+
+
+def _km_columns(name, times, events, counts, upper_limit):
+    """KM-ARL or KM-ADD at every row of a block of a (K, n) sample table,
+    whose row j holds ``counts[j]`` samples and n - counts[j] +inf
+    censorings (pads): one product-limit fit of the block."""
+    out = [_undefined(name)] * len(times)
+    rows = np.flatnonzero(counts)
+    if rows.size:
+        block = times[rows]
+        if not block.min() >= 0:  # a censoring at T - nu < 0: nu past the end
+            raise ValueError(f"invalid sample: time={block[block < 0][0]}")
+        fits = _restricted_rows(block, events[rows], times.shape[1] - counts[rows], upper_limit)
+        for j, *fit in zip(rows.tolist(), *(x.tolist() for x in fits)):
+            out[j] = _km(name, int(counts[j]), *fit)
     return out
 
 
 def _km(name, n, a, value, second_moment, tail, t_max):
-    variance = second_moment - value**2
-    if variance < 0.0:
-        variance = 0.0
+    variance = max(second_moment - value**2, 0.0)
     # Extrapolation: the horizon exceeds the data, or the curve never drops
     # below 1 so the whole estimate is the horizon itself.
     flag = a > t_max or (tail > 0.0 and abs(value - a) <= 1e-12 * max(a, 1.0))
-    return MetricEstimate(
-        name=name,
-        value=value,
-        sem=math.sqrt(variance / n),
-        n_used=n,
-        upper_limit=a,
-        extrapolation_flag=flag,
-    )
+    return MetricEstimate(name=name, value=value, sem=math.sqrt(variance / n), n_used=n,
+                          upper_limit=a, extrapolation_flag=flag)
 
 
 def _mean(name, arr):
     if arr.size == 0:
         return _undefined(name)
     sem = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return MetricEstimate(
-        name=name,
-        value=float(arr.mean()),
-        sem=sem,
-        n_used=arr.size,
-        upper_limit=None,
-    )
+    return MetricEstimate(name=name, value=float(arr.mean()), sem=sem, n_used=arr.size,
+                          upper_limit=None)
+
+
+def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
+    """``estimate_columns`` of every metric in ``names``, keyed by name. The
+    ARL and ADD tables are built in blocks of whole thresholds, about
+    ``_KM_BLOCK_SAMPLES`` cells each, and every metric reads each block."""
+    for name in names:
+        if name not in METRIC_NAMES:
+            raise ValueError(f"unknown metric: {name}")
+        if upper_limit is not None and not name.startswith("km-"):
+            raise ValueError(f"{name} takes no upper_limit")
+    lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
+    n, k = taus.shape
+    out = {name: [] for name in names}
+    step = max(1, _KM_BLOCK_SAMPLES // max(n, 1))
+    for first in range(0, k, step):
+        tau = np.ascontiguousarray(taus[:, first:first + step].T)  # (thresholds, n)
+        _checked_columns(lengths, nu, tau)
+        # Each table with its sample count per threshold.
+        arl = (*arl_columns(lengths, nu, tau), np.full(len(tau), n))
+        times, events, used = _add_table(lengths, nu, tau)
+        add = times, events, np.count_nonzero(used, axis=1)
+        for name in names:
+            times, events, counts = add if name.endswith("-add") else arl
+            if name.startswith("km-"):
+                out[name] += _km_columns(name, times, events, counts, upper_limit)
+            else:  # a baseline: the mean of a table's uncensored cells
+                if name == "lb-arl":  # of no-change sequences only
+                    events = events & (nu == INF)
+                out[name] += [_mean(name, t[e]) for t, e in zip(times, events)]
+    return out
 
 
 def estimate_columns(name: str, lengths, nu, taus, upper_limit=None) -> list[MetricEstimate]:
@@ -236,27 +258,13 @@ def estimate_columns(name: str, lengths, nu, taus, upper_limit=None) -> list[Met
     changepoints ``nu`` are float arrays with one entry per sequence, and
     ``taus`` a (sequences x K) float table whose column j holds every
     sequence's first alarm at threshold j, inf meaning no change or no alarm.
-    Returns the K estimates in column order.
+    Returns the K estimates in column order; a NaN alarm or one outside
+    [0, T) raises ``ValueError``.
 
     ``upper_limit`` is the horizon of ``km-arl`` and ``km-add`` (default: each
     column's largest observed time); the selection means take none.
     """
-    lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
-    if name in ("km-arl", "km-add"):
-        return _km_columns(name, lengths, nu, taus, upper_limit)
-    if name not in METRIC_NAMES:
-        raise ValueError(f"unknown metric: {name}")
-    if upper_limit is not None:
-        raise ValueError(f"{name} takes no upper_limit")
-    nu_col = nu[:, None]
-    if name == "lb-arl":  # no-change sequences that did alarm
-        select = (nu_col == INF) & (taus != INF)
-    elif name == "lb-add":  # with-change sequences detected at or after the change
-        select = (nu_col != INF) & (taus != INF) & (taus >= nu_col)
-        return [_mean(name, tau[hit] - nu[hit]) for tau, hit in zip(taus.T, select.T)]
-    else:  # naive-arl: every alarm before its changepoint, false alarms included
-        select = taus < nu_col
-    return [_mean(name, tau[hit]) for tau, hit in zip(taus.T, select.T)]
+    return _estimates((name,), lengths, nu, taus, upper_limit)[name]
 
 
 def estimate(name: str, lengths, nu, tau, upper_limit=None) -> MetricEstimate:

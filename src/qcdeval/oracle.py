@@ -423,14 +423,12 @@ def true_add_mc(
     n_reps: int,
     horizon_cap: int,
     seed: int = 0,
-    chunk: int = 256,
 ) -> MCEstimate:
     """Mean detection delay over streams with a random changepoint.
 
     Each replication runs the detector from frame 0 with pre-change frames
     before its changepoint and post-change after; replications alarming
-    before the change (false alarms) are discarded. ``chunk`` is accepted
-    and has no effect.
+    before the change (false alarms) are discarded.
     """
     rng = _mc_rng(n_reps, seed, "n_reps")
     law = tuple(changepoint_law)

@@ -37,8 +37,8 @@ _TRUNCATE_STREAM = 0x9E3779B97F4A7C15  # separates truncation draws from generat
 
 def _checked_seed(seed):
     """``seed``, if it is an integer in [0, 2**64): one uint64 key, which
-    no other seed shares."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    no other seed shares. A bool is no seed: True would read as 1."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
 

@@ -688,11 +688,12 @@ class TestSpecAndOracleManifest:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, in_spec", [
-        ("-1", 9), (str(2**64), 9), (None, -1), (None, 1.9), (None, 2**64),
-    ], ids=["flag-1", "flag-2**64", "spec-1", "spec-1.9", "spec-2**64"])
+        ("-1", 9), (str(2**64), 9), (None, -1), (None, 1.9), (None, 2**64), (None, True),
+    ], ids=["flag-1", "flag-2**64", "spec-1", "spec-1.9", "spec-2**64", "spec-true"])
     def test_simulate_seed_outside_uint64_exit_2(self, tmp_path, capsys, flag, in_spec):
-        # --seed -1 and a spec seed of -1 wrote seed 2**64 - 1's dataset, and
-        # a spec seed of 1.9 that of seed 1.
+        # --seed -1 and a spec seed of -1 wrote seed 2**64 - 1's dataset, a
+        # spec seed of 1.9 that of seed 1, and a spec seed of true that of
+        # seed 1, with "seed": true in the manifest.
         spec = SimSpec(model=LikelihoodModel(kind="gaussian", mu0=0.0, mu1=0.1, var=0.1),
                        n_sequences=3, length_law=("fixed", 5)).to_json()
         spec["seed"] = in_spec

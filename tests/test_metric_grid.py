@@ -71,6 +71,7 @@ def ref_estimate(name, lengths, nu, tau, upper_limit=None):
 
 def assert_cells_equal(lengths, nu, taus, upper_limit=None):
     lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
+    wants = {}
     for name in METRIC_NAMES:
         limit = upper_limit if name.startswith("km") else None
         got = estimate_columns(name, lengths, nu, taus, limit)
@@ -78,6 +79,11 @@ def assert_cells_equal(lengths, nu, taus, upper_limit=None):
         assert list(map(repr, got)) == list(map(repr, want)), name
         for j, tau in enumerate(taus.T):
             assert repr(estimate(name, lengths, nu, tau, limit)) == repr(want[j])
+        wants[name] = list(map(repr, want))
+    # The call sweep makes: every metric from one ARL and one ADD table.
+    names = METRIC_NAMES if upper_limit is None else ("km-arl", "km-add")
+    for name, got in metrics._estimates(names, lengths, nu, taus, upper_limit).items():
+        assert list(map(repr, got)) == wants[name], name
     return taus.shape
 
 

@@ -29,6 +29,7 @@ from qcdeval.metrics import (
     arl_samples,
     compute_metric,
     estimate,
+    estimate_columns,
     km_add,
     km_arl,
 )
@@ -257,6 +258,19 @@ def test_columns_raise_as_reference(metas, outcomes):
     with pytest.raises(ValueError) as got:
         _columns(metas, outcomes)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("alarm", [math.nan, -1.0, 5.0, 5.5])
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_estimate_rejects_alarm_outside_its_sequence(name, alarm):
+    # A NaN alarm was censored by km-arl, dropped by naive-arl and turned
+    # lb-arl into nan; an alarm past the end was averaged by lb-arl and
+    # naive-arl.
+    lengths, nu = [5.0, 5.0, 5.0], [INF, 1.0, INF]
+    with pytest.raises(ValueError, match="invalid alarm"):
+        estimate(name, lengths, nu, [alarm, 2.0, INF])
+    with pytest.raises(ValueError, match="invalid alarm"):
+        estimate_columns(name, lengths, nu, [[1.0, 3.0], [2.0, alarm], [INF, 4.0]])
 
 
 def test_estimate_rejects_unknown_name_and_mean_horizon():

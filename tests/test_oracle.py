@@ -473,10 +473,11 @@ class TestSharedEstimator:
         else:
             calls[name]()
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, np.uint64(2**64 - 1)])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, np.uint64(2**64 - 1), True, False])
     @pytest.mark.parametrize("name", ["bias_bounds", "true_arl_mc", "true_add_mc"])
     def test_seed_must_be_one_uint64(self, name, seed):
-        # -1 and 2**64 raised OverflowError, and 1.9 ran as seed 1.
+        # -1 and 2**64 raised OverflowError, 1.9 ran as seed 1, and True and
+        # False as seeds 1 and 0.
         cfg = DetectorConfig(kind="gsr", threshold=5.0, model=GAUSS)
         calls = {
             "bias_bounds": lambda: bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), 5, 1.0,

@@ -69,10 +69,10 @@ class TestSimSpec:
         assert SimSpec.from_json(s2.to_json()).model.kind == "poisson"
 
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, 1.0, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.9, 1.0, "3", None, True, False])
     def test_seed_must_be_one_uint64(self, seed):
         # -1 drew seed 2**64 - 1's dataset and 2**64 seed 0's; from_json
-        # read 1.9 as 1.
+        # read 1.9 as 1, and True and False ran as seeds 1 and 0.
         match = r"seed must be an integer in \[0, 2\*\*64\)"
         with pytest.raises(ValueError, match=match):
             spec(seed=seed)
