@@ -162,7 +162,7 @@ def _add_table(lengths, nu, tau):
     with a change and no alarm before it gives an event at tau - nu, or a
     censoring at T - nu if it never alarmed; any other cell is unused, a
     +inf censoring (a pad of ``survival._restricted_rows``)."""
-    used = (nu != INF) & (tau >= nu)
+    used = (nu != INF) & ~(tau < nu)  # a NaN stays used: the fit rejects it
     events = used & (tau != INF)
     times = np.where(events, tau, lengths) - nu
     times[~used] = INF
@@ -175,18 +175,14 @@ def add_columns(lengths, nu, tau):
     return times[used], events[used]
 
 
-def _checked_columns(lengths, nu, tau):
-    """Raise unless every length is finite and >= 0, every changepoint >= 0
-    (inf: no change) and every alarm inf (no alarm) or in [0, T)."""
-    alarm = (tau < lengths) | (tau == INF)
-    alarm &= tau >= 0
-    for what, x, ok in (("length", lengths, (lengths >= 0) & (lengths < INF)),
-                        ("changepoint", nu, nu >= 0), ("alarm", tau, alarm)):
-        if not ok.all():
-            i = int(np.argmin(ok.ravel()))  # the first bad cell
-            seq = i % lengths.size
-            raise ValueError(
-                f"invalid {what} {x.flat[i]} of sequence {seq} (length {lengths[seq]:g})")
+def _check(what, x, ok, lengths):
+    """Raise on the first cell of ``x`` (a column, or a table laid out
+    (K, n)) whose ``ok`` is false."""
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        seq = i % lengths.size
+        raise ValueError(
+            f"invalid {what} {x.flat[i]} of sequence {seq} (length {lengths[seq]:g})")
 
 
 def _km_columns(name, times, events, counts, upper_limit):
@@ -195,31 +191,45 @@ def _km_columns(name, times, events, counts, upper_limit):
     censorings (pads): one product-limit fit of the block."""
     out = [_undefined(name)] * len(times)
     rows = np.flatnonzero(counts)
+    if rows.size < len(times):  # a row without samples is not fitted
+        times, events = times[rows], events[rows]
     if rows.size:
-        block = times[rows]
-        if not block.min() >= 0:  # a censoring at T - nu < 0: nu past the end
-            raise ValueError(f"invalid sample: time={block[block < 0][0]}")
-        fits = _restricted_rows(block, events[rows], times.shape[1] - counts[rows], upper_limit)
+        if not times.min() >= 0:  # a censoring at T - nu < 0: nu past the end
+            raise ValueError(f"invalid sample: time={times[times < 0][0]}")
+        fits = _restricted_rows(times, events, times.shape[1] - counts[rows], upper_limit)
         for j, *fit in zip(rows.tolist(), *(x.tolist() for x in fits)):
             out[j] = _km(name, int(counts[j]), *fit)
     return out
 
 
 def _km(name, n, a, value, second_moment, tail, t_max):
-    variance = max(second_moment - value**2, 0.0)
+    variance = second_moment - value**2
+    if variance < 0.0:
+        variance = 0.0
     # Extrapolation: the horizon exceeds the data, or the curve never drops
     # below 1 so the whole estimate is the horizon itself.
     flag = a > t_max or (tail > 0.0 and abs(value - a) <= 1e-12 * max(a, 1.0))
-    return MetricEstimate(name=name, value=value, sem=math.sqrt(variance / n), n_used=n,
-                          upper_limit=a, extrapolation_flag=flag)
+    return MetricEstimate(
+        name=name,
+        value=value,
+        sem=math.sqrt(variance / n),
+        n_used=n,
+        upper_limit=a,
+        extrapolation_flag=flag,
+    )
 
 
 def _mean(name, arr):
     if arr.size == 0:
         return _undefined(name)
     sem = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return MetricEstimate(name=name, value=float(arr.mean()), sem=sem, n_used=arr.size,
-                          upper_limit=None)
+    return MetricEstimate(
+        name=name,
+        value=float(arr.mean()),
+        sem=sem,
+        n_used=arr.size,
+        upper_limit=None,
+    )
 
 
 def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
@@ -233,16 +243,19 @@ def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
             raise ValueError(f"{name} takes no upper_limit")
     lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
     n, k = taus.shape
-    out = {name: [] for name in names}
+    _check("length", lengths, (lengths >= 0) & (lengths < INF), lengths)
+    _check("changepoint", nu, nu >= 0, lengths)  # inf: no change
+    out = {name: [] for name in names}  # one entry per metric, repeated or not
     step = max(1, _KM_BLOCK_SAMPLES // max(n, 1))
     for first in range(0, k, step):
         tau = np.ascontiguousarray(taus[:, first:first + step].T)  # (thresholds, n)
-        _checked_columns(lengths, nu, tau)
+        # Every alarm inf (no alarm) or in [0, T).
+        _check("alarm", tau, ((tau < lengths) | (tau == INF)) & (tau >= 0), lengths)
         # Each table with its sample count per threshold.
         arl = (*arl_columns(lengths, nu, tau), np.full(len(tau), n))
         times, events, used = _add_table(lengths, nu, tau)
         add = times, events, np.count_nonzero(used, axis=1)
-        for name in names:
+        for name in out:
             times, events, counts = add if name.endswith("-add") else arl
             if name.startswith("km-"):
                 out[name] += _km_columns(name, times, events, counts, upper_limit)

@@ -80,9 +80,10 @@ def assert_cells_equal(lengths, nu, taus, upper_limit=None):
         for j, tau in enumerate(taus.T):
             assert repr(estimate(name, lengths, nu, tau, limit)) == repr(want[j])
         wants[name] = list(map(repr, want))
-    # The call sweep makes: every metric from one ARL and one ADD table.
+    # The call sweep makes: every metric from one ARL and one ADD table, each
+    # name twice, as --metrics km-arl,km-arl sends it.
     names = METRIC_NAMES if upper_limit is None else ("km-arl", "km-add")
-    for name, got in metrics._estimates(names, lengths, nu, taus, upper_limit).items():
+    for name, got in metrics._estimates(names * 2, lengths, nu, taus, upper_limit).items():
         assert list(map(repr, got)) == wants[name], name
     return taus.shape
 

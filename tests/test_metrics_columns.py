@@ -25,6 +25,7 @@ from qcdeval.metrics import (
     MetricEstimate,
     SequenceMeta,
     _columns,
+    add_columns,
     add_samples,
     arl_samples,
     compute_metric,
@@ -34,7 +35,7 @@ from qcdeval.metrics import (
     km_arl,
 )
 from qcdeval.simulate import SimSpec, simulate
-from qcdeval.survival import SurvivalSample, fit_km, rmst
+from qcdeval.survival import SurvivalSample, fit_km, fit_km_arrays, rmst
 
 
 def ref_pair(metas, outcomes):
@@ -271,6 +272,16 @@ def test_estimate_rejects_alarm_outside_its_sequence(name, alarm):
         estimate(name, lengths, nu, [alarm, 2.0, INF])
     with pytest.raises(ValueError, match="invalid alarm"):
         estimate_columns(name, lengths, nu, [[1.0, 3.0], [2.0, alarm], [INF, 4.0]])
+
+
+@pytest.mark.parametrize("nu, tau", [(1.0, math.nan), (math.nan, 2.0)])
+def test_add_columns_keeps_a_nan_for_the_fit_to_reject(nu, tau):
+    # The survival command fits add_columns without estimate's checks: a NaN
+    # alarm or changepoint must reach the fit as a NaN sample, not be dropped.
+    times, events = add_columns(np.array([5.0, 5.0]), np.array([nu, 1.0]), np.array([tau, 3.0]))
+    assert times.size == 2
+    with pytest.raises(ValueError, match="invalid sample"):
+        fit_km_arrays(times, events)
 
 
 def test_estimate_rejects_unknown_name_and_mean_horizon():
