@@ -110,15 +110,12 @@ def parse_family_pair(text: str) -> tuple[Dist, Dist]:
 
 
 def _detector_config(args) -> DetectorConfig:
-    model = None
-    if args.detector in ("gsr", "cusum"):
-        if not args.model:
-            raise CliError(f"{args.detector} requires --model")
-        model = parse_model(args.model)
+    # DetectorConfig requires a model for gsr and cusum and refuses one for
+    # the other detectors.
     return DetectorConfig(
         kind=args.detector,
         threshold=getattr(args, "threshold", None),  # curve sweeps a grid instead
-        model=model,
+        model=None if args.model is None else parse_model(args.model),
         omega=args.omega,
         ewma_lambda=args.ewma_lambda,
         window_size=args.window_size,
@@ -140,10 +137,11 @@ def _add_detector_flags(p):
     p.add_argument("--burn-in", dest="burn_in", type=int, default=30)
 
 
-def _add_common(p):
-    # None means "not given": simulate then defers to the seed in the spec
-    # file; every other subcommand falls back to 0.
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p, seeded=False):
+    if seeded:
+        # None means "not given": simulate then defers to the seed in the
+        # spec file; oracle and verify-bounds fall back to 0.
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("--manifest", default=None, help="manifest path (default <out>.manifest.json)")
     p.add_argument("-v", "--log-level", dest="log_level", nargs="?", const="info", default=None,
                    choices=("debug", "info", "warning", "error"),
@@ -216,8 +214,8 @@ def _metrics(args) -> list[str]:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load(args)
     config = _detector_config(args)
+    dataset = _load(args)
     metrics = _metrics(args)
     point = sweep(dataset, config, [args.threshold], metrics).points[0]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -231,8 +229,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    dataset = _load(args)
     config = _detector_config(args)
+    dataset = _load(args)
     grid = parse_thresholds(args.thresholds)
     metrics = _metrics(args)
     result = sweep(dataset, config, grid, metrics)
@@ -245,8 +243,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_survival(args) -> int:
-    dataset = _load(args)
     config = _detector_config(args)
+    dataset = _load(args)
     lengths, nu, tau = alarm_columns(dataset, config, [args.threshold])
     rule = arl_columns if args.kind == "arl" else add_columns
     times, events = rule(lengths, nu, tau[:, 0])
@@ -260,13 +258,10 @@ def cmd_survival(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not args.model:
-        raise CliError("oracle requires --model")
-    model = parse_model(args.model)
     config = _detector_config(args)
     try:
         est = true_arl_mc(
-            model, config, n_reps=args.reps, horizon_cap=args.horizon_cap,
+            config.model, config, n_reps=args.reps, horizon_cap=args.horizon_cap,
             seed=args.seed,
         )
     except RuntimeError as exc:
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a labeled dataset from a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="metrics at a single threshold")
@@ -375,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon-cap", dest="horizon_cap", type=int, default=1_000_000)
     p.add_argument("--out", default=None)
     _add_detector_flags(p)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
@@ -386,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify_bounds)
 
     return parser
@@ -398,6 +393,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
+    # Commands that draw nothing take no --seed; their manifests record 0.
     if getattr(args, "seed", None) is None and args.command != "simulate":
         args.seed = 0
     try:

@@ -74,16 +74,27 @@ class LikelihoodModel:
         else:
             raise ValueError(f"unknown model kind: {self.kind}")
 
+    @property
+    def llr_coefficients(self) -> tuple[float, float]:
+        """(slope, offset) of the per-frame llr(x) = slope * x - offset."""
+        if self.kind == "gaussian":
+            return (self.mu1 - self.mu0) / self.var, (self.mu1**2 - self.mu0**2) / (2.0 * self.var)
+        return math.log(self.lam1 / self.lam0), self.lam1 - self.lam0
+
+    def rejects(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the float frames ``x`` that ``llr`` refuses: negative or
+        non-integer counts under a Poisson model, none under a Gaussian one."""
+        if self.kind == "gaussian":
+            return np.zeros(x.shape, dtype=bool)
+        return (x < 0) | (x != np.floor(x))
+
     def llr(self, x):
         """Vectorized per-frame log-likelihood ratio (post vs pre)."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "gaussian":
-            return (self.mu1 - self.mu0) / self.var * x - (
-                self.mu1**2 - self.mu0**2
-            ) / (2.0 * self.var)
-        if np.any(x < 0) or np.any(x != np.floor(x)):
+        if self.rejects(x).any():
             raise ValueError("poisson model requires non-negative integer frames")
-        return x * math.log(self.lam1 / self.lam0) - (self.lam1 - self.lam0)
+        slope, offset = self.llr_coefficients
+        return slope * x - offset
 
 
 @dataclass(frozen=True)
@@ -153,16 +164,13 @@ def detector_levels(config: DetectorConfig, thresholds) -> np.ndarray:
     return np.array([math.log(h) if h > 0 else -INF for h in grid.tolist()])
 
 
-def _gsr_frames(values, config: DetectorConfig, levels):
-    """Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t), R(-1) = omega,
-    computed in log space; alarm at log R >= level."""
+def _llr_frames(values, config: DetectorConfig, levels):
+    """GSR: the Shiryaev-Roberts-type recursion R(t) = (R(t-1) + 1) L(t),
+    R(-1) = omega, in log space, alarming at log R >= level. CUSUM: the Page
+    recursion W(t) = max(0, W(t-1) + llr_t), alarming at W >= level."""
     llr = config.model.llr(_univariate(values, config))
-    return _kernels.gsr_first_alarm(llr, levels, config.omega)
-
-
-def _cusum_frames(values, config: DetectorConfig, levels):
-    """Page recursion W(t) = max(0, W(t-1) + llr_t); alarm at W >= level."""
-    llr = config.model.llr(_univariate(values, config))
+    if config.kind == "gsr":
+        return _kernels.gsr_first_alarm(llr, levels, config.omega)
     return _kernels.cusum_first_alarm(llr, levels)
 
 
@@ -237,8 +245,8 @@ def _window_frames(values, config: DetectorConfig, levels):
 
 
 _FRAMES = {
-    "gsr": _gsr_frames,
-    "cusum": _cusum_frames,
+    "gsr": _llr_frames,
+    "cusum": _llr_frames,
     "ewma": _ewma_frames,
     "window-l1": _window_frames,
     "window-normal": _window_frames,
@@ -258,21 +266,19 @@ def _scan_one(seq_id, values, config: DetectorConfig, levels):
         raise ValueError(f"sequence {seq_id!r}: {exc}") from exc
 
 
-_CHECK_FRAMES = 1 << 16  # frames per slice of the Poisson frame check
+_CHECK_FRAMES = 1 << 16  # frames per slice of the model's frame check
 
 
 def _first_rejected(dataset, model: LikelihoodModel) -> int:
     """Index of the first sequence ``scan`` rejects for GSR or CUSUM (or len):
-    two or more columns, or a negative or non-integer Poisson frame."""
+    two or more columns, or a frame the model rejects."""
     wide = np.flatnonzero(dataset.widths >= 2)
     first = int(wide[0]) if wide.size else len(dataset)
-    if model.kind == "poisson":
-        x = dataset.frames[: dataset.offsets[first]]
-        for a in range(0, x.size, _CHECK_FRAMES):
-            part = x[a : a + _CHECK_FRAMES]
-            bad = np.flatnonzero((part < 0) | (part != np.floor(part)))
-            if bad.size:
-                return int(np.searchsorted(dataset.offsets, a + bad[0], "right")) - 1
+    x = dataset.frames[: dataset.offsets[first]]
+    for a in range(0, x.size, _CHECK_FRAMES):
+        bad = np.flatnonzero(model.rejects(x[a : a + _CHECK_FRAMES]))
+        if bad.size:
+            return int(np.searchsorted(dataset.offsets, a + bad[0], "right")) - 1
     return first
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from .detectors import DetectorConfig, detector_levels, scan_table
 # Unused here, kept because qcdbench's traced runs wrap harness.run_detector.
 from .detectors import run_detector  # noqa: F401
-from .metrics import INF, DetectionOutcome, SequenceMeta, _estimates
+from .metrics import INF, DetectionOutcome, SequenceMeta, _changepoint_ok, _estimates
 # Unused here, kept because qcdbench's traced runs wrap harness.compute_metric.
 from .metrics import compute_metric  # noqa: F401
 from .simulate import LabeledDataset
@@ -298,7 +298,7 @@ def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:
     # SequenceMeta's changepoint check on every kept row at once; only the
     # rows it flags build a SequenceMeta, for its diagnostic.
     nu = dataset.nu
-    bad = keep & (nu != INF) & ((nu < 0) | (nu != np.floor(nu)) | (nu >= lengths))
+    bad = keep & ~_changepoint_ok(nu, lengths)
     diagnostics = []
     for i in np.flatnonzero(bad).tolist():
         try:

@@ -66,6 +66,12 @@ METRIC_NAMES = ("km-arl", "km-add", "lb-arl", "lb-add", "naive-arl")
 _KM_BLOCK_SAMPLES = 2**14
 
 
+def _changepoint_ok(nu, lengths):
+    """Where a changepoint nu (scalar or array) labels a sequence of length
+    T: it is inf (no change) or an integer in [0, T)."""
+    return (nu == INF) | ((nu >= 0) & (nu == np.floor(nu)) & (nu < lengths))
+
+
 @dataclass(frozen=True)
 class SequenceMeta:
     """Labels of one observed sequence: its length and changepoint."""
@@ -78,7 +84,7 @@ class SequenceMeta:
         if self.length_T < 1:
             raise ValueError(f"length_T must be >= 1, got {self.length_T}")
         nu = self.changepoint_nu
-        if nu != INF and (nu < 0 or nu != int(nu) or nu >= self.length_T):
+        if not _changepoint_ok(nu, self.length_T):
             raise ValueError(
                 f"{self.id}: changepoint {nu!r} does not index a frame of "
                 f"length {self.length_T}"
@@ -194,8 +200,6 @@ def _km_columns(name, times, events, counts, upper_limit):
     if rows.size < len(times):  # a row without samples is not fitted
         times, events = times[rows], events[rows]
     if rows.size:
-        if not times.min() >= 0:  # a censoring at T - nu < 0: nu past the end
-            raise ValueError(f"invalid sample: time={times[times < 0][0]}")
         fits = _restricted_rows(times, events, times.shape[1] - counts[rows], upper_limit)
         for j, *fit in zip(rows.tolist(), *(x.tolist() for x in fits)):
             out[j] = _km(name, int(counts[j]), *fit)
@@ -244,7 +248,7 @@ def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
     lengths, nu, taus = (np.asarray(a, dtype=np.float64) for a in (lengths, nu, taus))
     n, k = taus.shape
     _check("length", lengths, (lengths >= 0) & (lengths < INF), lengths)
-    _check("changepoint", nu, nu >= 0, lengths)  # inf: no change
+    _check("changepoint", nu, _changepoint_ok(nu, lengths), lengths)
     out = {name: [] for name in names}  # one entry per metric, repeated or not
     step = max(1, _KM_BLOCK_SAMPLES // max(n, 1))
     for first in range(0, k, step):
@@ -272,7 +276,8 @@ def estimate_columns(name: str, lengths, nu, taus, upper_limit=None) -> list[Met
     ``taus`` a (sequences x K) float table whose column j holds every
     sequence's first alarm at threshold j, inf meaning no change or no alarm.
     Returns the K estimates in column order; a NaN alarm or one outside
-    [0, T) raises ``ValueError``.
+    [0, T), or a changepoint that is neither inf nor an integer in [0, T),
+    raises ``ValueError``.
 
     ``upper_limit`` is the horizon of ``km-arl`` and ``km-add`` (default: each
     column's largest observed time); the selection means take none.

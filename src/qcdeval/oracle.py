@@ -20,7 +20,6 @@ Three routes live here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from ._kernels import TIE_SLACK
 from .detectors import DetectorConfig, LikelihoodModel, detector_levels
 from .metrics import MetricEstimate
-from .simulate import _checked_seed
+from .simulate import _checked_seed, _is_int
 from .survival import _BLOCK_SAMPLES, rmst_km_batch
 
 __all__ = [
@@ -190,7 +189,7 @@ _QUAD_START, _QUAD_CAP = 64, 4096  # Gauss-Legendre nodes per piece
 
 
 def _mc_rng(reps: int, seed: int, name: str) -> np.random.Generator:
-    if not isinstance(reps, numbers.Integral):
+    if not _is_int(reps):
         raise ValueError(f"{name} must be an integer, got {reps!r}")
     if reps < 2:  # a mean and its standard error need two replications
         raise ValueError(f"{name} must be >= 2, got {reps}")
@@ -221,7 +220,7 @@ def bias_bounds(
     consecutive pieces of the generator's stream, so the blocked draws equal
     one ``(mc_reps, n)`` draw bit for bit.
     """
-    if not isinstance(n, numbers.Integral):
+    if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -302,17 +301,19 @@ def _cusum_step(state: np.ndarray, llr: np.ndarray) -> None:
     np.maximum(state, 0.0, out=state)
 
 
-def _detector_state(config: DetectorConfig, n: int):
+def _detector_state(model: LikelihoodModel, config: DetectorConfig, n: int):
     """Initial statistics, in-place one-frame step and alarm level of
-    gsr/cusum."""
+    gsr/cusum, whose likelihood model must be ``model``."""
+    if config.kind not in ("gsr", "cusum"):
+        raise ValueError(f"monte-carlo oracle supports gsr/cusum only, got {config.kind}")
+    if model != config.model:
+        raise ValueError(f"oracle model {model} is not the detector's model {config.model}")
     # The scans' level of the threshold, with the same exact-tie slack.
     thr = float(detector_levels(config, config.threshold)[0]) - TIE_SLACK
     if config.kind == "gsr":
         init = math.log(config.omega) if config.omega > 0 else -math.inf
         return np.full(n, init), _gsr_step, thr
-    if config.kind == "cusum":
-        return np.zeros(n), _cusum_step, thr
-    raise ValueError(f"monte-carlo oracle supports gsr/cusum only, got {config.kind}")
+    return np.zeros(n), _cusum_step, thr
 
 
 def _llr_draw(model: LikelihoodModel, rng: np.random.Generator):
@@ -320,13 +321,12 @@ def _llr_draw(model: LikelihoodModel, rng: np.random.Generator):
     post-change where ``post`` is set and pre-change elsewhere, and returning
     the frames' log-likelihood ratios.
 
-    A Gaussian llr c*x - k of the frame x = sd*z + mu is built straight from
-    the standard normal draw z as (c*sd)*z + (c*mu - k). Poisson counts go
-    through ``model.llr``.
+    The Gaussian llr c*x - k (``model.llr_coefficients``) of the frame
+    x = sd*z + mu is built straight from the standard normal draw z as
+    (c*sd)*z + (c*mu - k). Poisson counts go through ``model.llr``.
     """
     if model.kind == "gaussian":
-        c = (model.mu1 - model.mu0) / model.var
-        k = (model.mu1**2 - model.mu0**2) / (2.0 * model.var)
+        c, k = model.llr_coefficients
         scale = c * math.sqrt(model.var)
         shift_pre, shift_post = c * model.mu0 - k, c * model.mu1 - k
 
@@ -360,7 +360,7 @@ def _first_alarms(
     """
     tau = np.full(nus.size, -1, dtype=np.int64)
     active = np.arange(nus.size)
-    state, step, thr = _detector_state(detector, nus.size)
+    state, step, thr = _detector_state(model, detector, nus.size)
     draw = _llr_draw(model, rng)
     for t in range(horizon_cap):
         step(state, draw(nus <= t))

@@ -35,10 +35,15 @@ __all__ = [
 _TRUNCATE_STREAM = 0x9E3779B97F4A7C15  # separates truncation draws from generation
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer; a bool is not one: True would read as 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _checked_seed(seed):
     """``seed``, if it is an integer in [0, 2**64): one uint64 key, which
-    no other seed shares. A bool is no seed: True would read as 1."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64) or isinstance(seed, bool):
+    no other seed shares."""
+    if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return seed
 
@@ -61,8 +66,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_sequences < 1:
-            raise ValueError("n_sequences must be >= 1")
+        if not (_is_int(self.n_sequences) and self.n_sequences >= 1):
+            raise ValueError(f"n_sequences must be an integer >= 1, got {self.n_sequences!r}")
         _check_length_law(self.length_law)
         law = self.changepoint_law
         if law[0] == "geometric":
@@ -106,7 +111,7 @@ class SimSpec:
             )
             return SimSpec(
                 model=model,
-                n_sequences=int(obj["n_sequences"]),
+                n_sequences=obj["n_sequences"],
                 length_law=tuple(obj["length_law"]),
                 changepoint_law=tuple(obj.get("changepoint_law", ["none"])),
                 with_change_fraction=float(obj.get("with_change_fraction", 0.0)),

@@ -336,6 +336,31 @@ class TestSubcommands:
         assert "unrecognized arguments: --workers 3" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "curve", "survival"])
+    def test_seed_flag_removed_exit_2(self, tmp_path, data_file, capsys, command):
+        # --seed was only echoed into the manifest: these commands draw
+        # nothing, and the outputs of any two seeds were the same.
+        grid = ["--thresholds", "1:10:3-log"] if command == "curve" else ["--threshold", "4"]
+        out = tmp_path / "o.out"
+        assert main([command, "--data", str(data_file), "--detector", "gsr",
+                     "--model", "gaussian:0,0.1,0.1", *grid, "--out", str(out),
+                     "--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "curve"])
+    def test_model_free_detector_refuses_model_exit_2(self, tmp_path, data_file, capsys,
+                                                      command):
+        # The model was dropped without notice: the run exited 0 and its
+        # manifest recorded detector_config.model as null.
+        grid = ["--thresholds", "1:10:3-log"] if command == "curve" else ["--threshold", "4"]
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--data", str(data_file), "--detector", "ewma",
+                     "--model", "gaussian:0,0.1,0.1", *grid,
+                     "--out", str(tmp_path / "o.out")]) == 2
+        assert "ewma does not take a likelihood model" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["evaluate", "--bogus"]) == 2
 
@@ -736,6 +761,29 @@ class TestSpecAndOracleManifest:
         assert f"seed must be an integer in [0, 2**64), got {seed}" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_model_free_detector_exit_2(self, tmp_path, capsys):
+        # It said "oracle requires --model", though no model makes the
+        # oracle run ewma.
+        out = tmp_path / "o.json"
+        assert main(["oracle", "--detector", "ewma", "--threshold", "5",
+                     "--reps", "200", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "monte-carlo oracle supports gsr/cusum only, got ewma" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [2.7, True, "3", None])
+    def test_simulate_sequence_count_not_an_integer_exit_2(self, tmp_path, capsys,
+                                                            spec_file, n):
+        # int() truncated each: 2.7 simulated 2 sequences, true 1 and "3" 3.
+        spec = json.loads(spec_file.read_text())
+        spec["n_sequences"] = n
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "d.jsonl"
+        assert main(["simulate", "--spec", str(spec_file), "--out", str(out)]) == 2
+        assert f"n_sequences must be an integer >= 1, got {n!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
     def test_oracle_writes_manifest_with_result(self, tmp_path):
         out = tmp_path / "o.json"

@@ -209,13 +209,16 @@ def test_estimates_equal_object_reference(runs, upper_limit):
     )
 
 
+def _uncensored_row(T):
+    # A changepoint indexes a frame, nu < T; nu >= 1 leaves room for an alarm.
+    nu = st.just(INF) if T == 1 else st.integers(min_value=1, max_value=T - 1)
+    return st.tuples(st.just(T), st.one_of(st.just(INF), nu),
+                     st.floats(min_value=0.0, max_value=1.0))
+
+
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=400),
-            st.one_of(st.just(INF), st.integers(min_value=1, max_value=400)),
-            st.floats(min_value=0.0, max_value=1.0),
-        ),
+        st.integers(min_value=1, max_value=400).flatmap(_uncensored_row),
         min_size=1,
         max_size=40,
     )
@@ -231,6 +234,16 @@ def test_uncensored_km_arl_equals_naive_mean(rows):
     km = estimate("km-arl", lengths, nu, tau).value
     naive = estimate("naive-arl", lengths, nu, tau).value
     assert math.isclose(km, naive, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+@pytest.mark.parametrize("nu", [3.0, 5.0])
+def test_changepoint_at_or_past_the_end_raises(name, nu):
+    # With T = 3 and no alarm, nu = 5 read km-arl 3.0, left lb-add undefined
+    # and made km-add fail on a delay of -2; nu = 3 gave km-add a censoring
+    # at 0. A changepoint indexes a frame, as SequenceMeta and ingest require.
+    with pytest.raises(ValueError, match=f"invalid changepoint {nu} of sequence 1"):
+        estimate(name, [5.0, 3.0], [INF, nu], [INF, INF])
 
 
 def M(i, T, nu=INF):

@@ -268,8 +268,9 @@ class TestBoundQuadrature:
         with pytest.raises(ValueError, match="n must be >= 1"):
             bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n, 1.0)
 
-    @pytest.mark.parametrize("n", [2.5, 5.0])
+    @pytest.mark.parametrize("n", [2.5, 5.0, True])
     def test_rejects_n_that_is_not_an_integer(self, n):
+        # True ran as n = 1.
         with pytest.raises(ValueError, match="n must be an integer"):
             bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n, 1.0, mc_reps=2)
 
@@ -308,6 +309,20 @@ class TestTrueARL:
         cfg = DetectorConfig(kind="ewma", threshold=3.0)
         with pytest.raises(ValueError, match="gsr/cusum"):
             true_arl_mc(GAUSS, cfg, n_reps=10, horizon_cap=100)
+
+    @pytest.mark.parametrize("given", [
+        LikelihoodModel(kind="gaussian", mu0=0.0, mu1=1.0, var=1.0), POISSON,
+    ], ids=["gaussian-mu1-1", "poisson"])
+    def test_model_must_be_the_detectors(self, given):
+        # Both oracles ran the detector on the given model's llr and ignored
+        # its own: a CUSUM (h=3) built for N(0 -> 3) returned, on N(0 -> 1)
+        # data, bit for bit the truth of the CUSUM built for N(0 -> 1).
+        own = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=3.0, var=1.0)
+        cfg = DetectorConfig(kind="cusum", threshold=3.0, model=own)
+        with pytest.raises(ValueError, match="is not the detector's model"):
+            true_arl_mc(given, cfg, n_reps=10, horizon_cap=100)
+        with pytest.raises(ValueError, match="is not the detector's model"):
+            true_add_mc(given, cfg, ("fixed", 0), n_reps=10, horizon_cap=100)
 
     def test_reproducible(self):
         cfg = DetectorConfig(kind="gsr", threshold=30.0, model=GAUSS)
@@ -456,7 +471,7 @@ class TestSharedEstimator:
             true_add_mc(model, cfg, ("fixed", 10), n_reps=100, horizon_cap=50, seed=0)
 
 
-    @pytest.mark.parametrize("reps", [2.5, 10.0, np.int64(10)])
+    @pytest.mark.parametrize("reps", [2.5, 10.0, np.int64(10), True])
     @pytest.mark.parametrize("name", ["mc_reps", "n_reps (arl)", "n_reps (add)"])
     def test_replication_count_must_be_an_integer(self, name, reps):
         cfg = DetectorConfig(kind="gsr", threshold=5.0, model=GAUSS)
@@ -467,7 +482,7 @@ class TestSharedEstimator:
             "n_reps (add)": lambda: true_add_mc(GAUSS, cfg, ("fixed", 3), n_reps=reps,
                                                 horizon_cap=2000),
         }
-        if isinstance(reps, float):
+        if isinstance(reps, (float, bool)):  # True was refused as "must be >= 2"
             with pytest.raises(ValueError, match=f"{name.split()[0]} must be an integer"):
                 calls[name]()
         else:
