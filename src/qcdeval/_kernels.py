@@ -15,6 +15,13 @@ last frame or after the block in which it reached every level. Block edges
 are fixed frame indices and ``cumsum``/``accumulate`` run along each row, so
 the statistic at frame t depends on frames 0..t of its own sequence alone.
 
+GSR takes the log of a block's running sum of exp(-c) (c the llr's prefix
+sums) as a shifted log-sum-exp: one vectorised exp, cumsum and log per row,
+each term divided by the row's largest, so every partial sum of a row whose
+terms span at most _SPAN = 600 nats is at least exp(-600), a normal double,
+and its log is finite. A row whose llr falls by more than that within the
+block, or is NaN, keeps the pairwise ``np.logaddexp.accumulate``.
+
 Tie policy: GSR and CUSUM alarm once the statistic is within TIE_SLACK of the
 threshold (log R >= log h - TIE_SLACK, W >= h - TIE_SLACK), so an exact tie
 alarms whichever arithmetic reached it; the Monte-Carlo oracle uses the same
@@ -29,6 +36,7 @@ import numpy as np
 BLOCK = 256  # frames per prefix-sum block
 ROWS = 128  # rows per chunk of a block in the GSR and CUSUM scans
 TIE_SLACK = 1e-12
+_SPAN = 600.0  # widest log-sum-exp shift of a GSR row (see _gsr_block)
 
 
 def first_crossings(stat, levels, start=0):
@@ -124,14 +132,44 @@ def _restarted(llr, carry, block_stat, reset):
 def _gsr_block(c, log_r0):
     # R(t) = (R(t-1) + 1) L(t), R(-1) = omega, computed in log space. In the
     # block starting at frame s, with c a row's cumulative log-likelihood
-    # ratio over the block and c_{-1} = 0:
-    # log R(s+j) = c_j + log(R(s-1) + sum_{k<=j} exp(-c_{k-1})).
-    inner = np.empty_like(c)  # -c_{j-1}, then the log of the sum
+    # ratio over the block, c_{-1} = 0 and a_k = -c_{k-1}:
+    # log R(s+j) = c_j + log(R(s-1) + sum_{k<=j} exp(a_k)).
+    # The log of the sum is a shifted log-sum-exp: with m the larger of
+    # log R(s-1) and the row's largest a_k, it is m + log(exp(log R(s-1) - m)
+    # + cumsum(exp(a_k - m))). Its terms are positive, so the cumsum's
+    # relative error stays about j ulp. A row is narrow when m - max(log
+    # R(s-1), 0) <= _SPAN: every partial sum then holds exp(a_0 - m) =
+    # exp(-m) or exp(log R(s-1) - m), one of which is at least exp(-_SPAN),
+    # a normal double, so no log meets 0. A wide row (its llr falls by more
+    # than _SPAN within the block, or is NaN) keeps logaddexp.accumulate.
+    inner = np.empty_like(c)  # a_j, then the log of the sum
     inner[:, 0] = -0.0
     np.negative(c[:, :-1], out=inner[:, 1:])
-    np.logaddexp.accumulate(inner, axis=1, out=inner)
-    np.logaddexp(log_r0[:, None], inner, out=inner, where=(log_r0 > -np.inf)[:, None])
+    m = np.maximum(inner.max(axis=1), log_r0)
+    narrow = m - np.maximum(log_r0, 0.0) <= _SPAN  # False for a NaN
+    if narrow.all():
+        _shifted_logsumexp(inner, log_r0, m)
+    else:
+        part = inner[narrow]
+        _shifted_logsumexp(part, log_r0[narrow], m[narrow])
+        inner[narrow] = part
+        wide = ~narrow
+        part, log_r0 = inner[wide], log_r0[wide]
+        np.logaddexp.accumulate(part, axis=1, out=part)
+        np.logaddexp(log_r0[:, None], part, out=part, where=(log_r0 > -np.inf)[:, None])
+        inner[wide] = part
     return np.add(c, inner, out=inner)
+
+
+def _shifted_logsumexp(a, log_r0, m):
+    """Overwrite each narrow row of ``a`` with m + log(exp(log_r0 - m) +
+    cumsum(exp(a - m)))."""
+    a -= m[:, None]
+    np.exp(a, out=a)
+    np.cumsum(a, axis=1, out=a)
+    a += np.exp(log_r0 - m)[:, None]
+    np.log(a, out=a)
+    a += m[:, None]
 
 
 def _cusum_block(c, w0):

@@ -65,6 +65,10 @@ class LikelihoodModel:
     lam1: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu0", "mu1", "var", "lam0", "lam1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"model parameter {name} must be finite, got {value!r}")
         if self.kind == "gaussian":
             if self.var <= 0:
                 raise ValueError("gaussian model needs var > 0")

@@ -138,7 +138,8 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
     still at risk, and ``deaths`` counts the group's events up to it. The
     last position of a group with events is a drop, and ``surv`` is the
     survival just after it. Returns the sorted times and the (drop, at_risk,
-    deaths, surv) arrays.
+    deaths, surv) arrays; ``deaths`` is None when no row holds a tie, as
+    each drop then has one death.
 
     ``pads`` (a (rows, 1) array) says how many of a row's samples are +inf
     censorings that only pad it to width n: they sort last and are left out
@@ -146,7 +147,7 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
 
     When no row of the block holds two equal times, each sample is its own
     tie group: ``at_risk`` is n - pads less its position (one row, broadcast,
-    when ``pads`` is 0), ``deaths`` and ``drop`` its event flag, and the
+    when ``pads`` is 0), ``drop`` its event flag, and the
     factor 1 - e * (1 / at_risk) equals the tie-group path's 1 - d / at_risk
     bit for bit (1 / k is the same division, and times 0 or 1 is exact).
     Two pads tie, so a row there holds at most one; it sorts last with
@@ -170,7 +171,7 @@ def _product_limit(times: np.ndarray, events: np.ndarray, pads=0):
         at_risk = (n - pads) - np.arange(n)  # one row, or one per row with pads
         surv = e * (1.0 / np.maximum(at_risk, 1))
         at_risk = np.broadcast_to(at_risk, (rows, n))
-        drop, deaths = e, e.astype(np.intp)
+        drop, deaths = e, None
     else:
         new_time = np.ones((rows, n), dtype=bool)
         np.logical_not(tied, out=new_time[:, 1:])
@@ -233,14 +234,15 @@ def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> StepSurvivalCurve:
     events first) and deaths count the events exactly at t_j.
     """
     times, events = _checked_samples(times, events, ndim=1)
-    t, drop, at_risk, deaths, surv = (a[0] for a in _product_limit(times[None], events[None]))
+    t, drop, at_risk, deaths, surv = _product_limit(times[None], events[None])
+    drop = drop[0]
     return StepSurvivalCurve(
-        drop_times=t[drop],
-        survival_values=surv[drop],
-        at_risk=at_risk[drop],
-        deaths=deaths[drop],
+        drop_times=t[0, drop],
+        survival_values=surv[0, drop],
+        at_risk=at_risk[0, drop],
+        deaths=np.ones(np.count_nonzero(drop), np.intp) if deaths is None else deaths[0, drop],
         n_samples=times.size,
-        max_observed=float(t[-1]),
+        max_observed=float(t[0, -1]),
     )
 
 

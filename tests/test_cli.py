@@ -292,6 +292,24 @@ class TestSubcommands:
         assert f"mc_reps must be >= 2, got {reps}" in captured.err
         assert "VIOLATED" not in captured.out
 
+    @pytest.mark.parametrize("model", ["gaussian:0,nan,1", "gaussian:0,1,inf", "poisson:inf,1"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--threshold", "100"],
+        ["oracle", "--threshold", "5", "--reps", "200", "--horizon-cap", "10000"],
+    ], ids=["evaluate", "oracle"])
+    def test_non_finite_model_parameter_exit_2(self, tmp_path, data_file, capsys, command,
+                                               model):
+        # evaluate exited 0 with every llr NaN (or -inf) and every sequence
+        # censored; oracle failed with "increase horizon_cap".
+        out = tmp_path / "o.json"
+        if command[0] == "evaluate":
+            command = [*command, "--data", str(data_file)]
+        assert main([*command, "--detector", "gsr", "--model", model, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"bad model spec {model!r}: model parameter" in captured.err
+        assert "must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def _evaluate_gsr(self, tmp_path, data, *extra):
         return main(
             [

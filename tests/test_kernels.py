@@ -180,6 +180,59 @@ def test_nan_statistic_reaches_only_minus_inf():
     assert got.tolist() == [0, -1, -1]
 
 
+def pairwise_gsr_block(c, log_r0):
+    """log R over one block by a pairwise logaddexp.accumulate of the
+    exp(-c_{j-1}), on every row: the kernel's form for rows whose llr falls
+    more than _kernels._SPAN within the block, or is NaN."""
+    inner = np.empty_like(c)
+    inner[:, 0] = -0.0
+    np.negative(c[:, :-1], out=inner[:, 1:])
+    np.logaddexp.accumulate(inner, axis=1, out=inner)
+    np.logaddexp(log_r0[:, None], inner, out=inner, where=(log_r0 > -np.inf)[:, None])
+    return np.add(c, inner, out=inner)
+
+
+def extended_gsr_block(c, log_r0):
+    """log R over one block from the same prefix sums c, in np.longdouble."""
+    c, log_r0 = c.astype(np.longdouble), log_r0.astype(np.longdouble)[:, None]
+    a = np.concatenate([np.zeros_like(c[:, :1]), -c[:, :-1]], axis=1)
+    m = np.maximum(a.max(axis=1, keepdims=True), log_r0)
+    return c + m + np.log(np.cumsum(np.exp(a - m), axis=1) + np.exp(log_r0 - m))
+
+
+def test_gsr_block_within_a_fifth_of_tie_slack():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(40):
+        sd, drift = rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0)
+        c = np.cumsum(rng.normal(drift, sd, (64, _kernels.BLOCK)), axis=1)
+        log_r0 = rng.choice([-np.inf, -30.0, 0.0, 5.0], 64)
+        got = _kernels._gsr_block(c, log_r0)
+        worst = max(worst, float(np.max(np.abs(got - extended_gsr_block(c, log_r0)))))
+    assert worst <= SLACK / 5
+
+
+def test_gsr_block_mixed_chunk_matches_pairwise_form():
+    # Rows 0-2 are narrow: a mild llr, a +1e10 spike, and a fall of 650 nats
+    # under a carried log R of 700. Rows 3-6 are wide and keep the pairwise
+    # form bit for bit: pre-change llr of gaussian:0,3,1, a -1e10 spike, a
+    # NaN from frame 100 on, and a NaN carried in.
+    rng = np.random.default_rng(12)
+    c = np.cumsum(rng.normal(0.0, 1.0, (7, _kernels.BLOCK)), axis=1)
+    c[1, 40:] += 1e10
+    c[2] -= np.linspace(0.0, 650.0, _kernels.BLOCK)
+    c[3] = np.cumsum(3.0 * rng.normal(0.0, 1.0, _kernels.BLOCK) - 4.5)
+    c[4, 50:] -= 1e10
+    c[5, 100:] = np.nan
+    log_r0 = np.array([0.0, -np.inf, 700.0, 5.0, -30.0, -np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        got = _kernels._gsr_block(c.copy(), log_r0)
+        want = pairwise_gsr_block(c.copy(), log_r0)
+    np.testing.assert_allclose(got[:3], want[:3], rtol=0.0, atol=SLACK / 5)
+    assert not np.array_equal(got[:3], want[:3])  # the narrow rows take the new form
+    np.testing.assert_array_equal(got[3:], want[3:])
+
+
 def test_causal_across_block_edges():
     """Cutting a sequence at, just before or just after a block edge never
     moves an alarm that lies inside the prefix, and never raises one the full
@@ -221,8 +274,12 @@ NEG_INF_ROWS = [[-1e308] + [10.0] * 5, [0.0] * 300 + [-1e308] + [10.0] * 5,
 @st.composite
 def scan_cases(draw):
     """A detector, a model, a grid and the rows of a dataset: seeded noise of
-    lengths on both sides of BLOCK and 2 * BLOCK, with drawn spikes of mixed
-    scale up to +-1e308 (non-negative whole counts under Poisson)."""
+    lengths on both sides of BLOCK and 2 * BLOCK, pre-change up to a drawn
+    changepoint (Gaussian models), with drawn spikes of mixed scale up to
+    +-1e308 (non-negative whole counts under Poisson). Under gaussian:0,3,1
+    and LIMIT_MODEL the pre-change llr falls by more than _kernels._SPAN
+    within a block, so whole GSR rows take the kernel's pairwise form, and
+    rows past their changepoint the shifted one from a large carried log R."""
     kind = draw(st.sampled_from(["gsr", "cusum"]))
     model = draw(st.sampled_from([LIMIT_MODEL, *MODELS.values()]))
     omega = draw(st.sampled_from([0.0, 0.5, 3.0])) if kind == "gsr" else 0.0
@@ -238,6 +295,7 @@ def scan_cases(draw):
             values = st.sampled_from([0.0, 1e300, 1e308, 50.0])
         else:
             x = rng.normal(model.mu0, math.sqrt(model.var), n)
+            x[draw(st.integers(0, n)):] += model.mu1 - model.mu0
             values = st.sampled_from(SPIKES)
         for at, v in draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=4)):
             x[at] = v
@@ -266,6 +324,9 @@ def _reference(kind, model, omega, x, levels):
 @given(scan_cases())
 @example(("gsr", LIMIT_MODEL, 0.0, [100.0], [np.array(r) for r in NEG_INF_ROWS]))
 @example(("cusum", LIMIT_MODEL, 0.0, [100.0], [np.array(r) for r in NEG_INF_ROWS]))
+@example(("gsr", MODELS["gauss0-3"], 0.5, [5.0, 1e4],
+          [np.random.default_rng(r).normal(0.0, 1.0, 600) + 3.0 * (np.arange(600) >= nu)
+           for r, nu in enumerate([600, 300, 520])]))
 def test_scan_table_matches_per_frame_recursion(case):
     """``scan_table`` row by row against the per-frame recursion: equal
     frames, or the two disagree only where the statistic is within the

@@ -332,6 +332,9 @@ class TestTieFreeBranch:
         forced = _product_limit(*tie_group_block(padded, padded_events, pads))
         for name, got, want in zip(("t", "drop", "at_risk", "deaths", "surv"), alone, forced):
             want = want[:rows, :n]
+            if name == "deaths":  # not built: one death at each drop
+                assert got is None and (want[alone[1]] == 1).all()
+                continue
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -356,7 +359,7 @@ class TestTieFreeBranch:
         assert t.tobytes() == np.array([[0.0], [0.0], [2.0]]).tobytes()
         assert drop.ravel().tolist() == [True, False, True]
         assert at_risk.tolist() == [[1], [1], [1]]
-        assert deaths.tolist() == [[1], [0], [1]]
+        assert deaths is None
         assert surv.ravel().tolist() == [0.0, 1.0, 0.0]
         assert rmst_km_batch([[3.0], [0.5]], [[True], [False]], 1.0).tolist() == [1.0, 1.0]
 
