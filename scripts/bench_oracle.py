@@ -22,10 +22,16 @@ layers are module functions wrapped in place by ``bench_common.Layers``:
   traced pass. Memory is in MB of 2**20 bytes, as ``qcdbench`` reports
   ``peak_rss_mb``.
 
-Every run stores a SHA-256 digest of each op's ``repr``. When the output file
-already holds runs, a new run must reproduce their digests bit for bit, or the
-script exits 1 and leaves the file as it was. To time another checkout of the
-program into the same file, point ``--src`` at its ``src`` directory:
+Every run stores three SHA-256 digests of each seed's op, of the ``repr`` of:
+``<seed>/estimates``, the ARL and ADD estimates; ``<seed>/bounds``, the
+quadrature bounds of the bias-bound cells; and ``<seed>/mc_block_<B>``, the
+cells' Monte-Carlo bias, halfwidth and containment, whose draws depend on the
+block size B (``survival._BLOCK_SAMPLES``) of the checkout. When the output
+file already holds runs, a new run must reproduce every digest they share bit
+for bit, or the script exits 1 and leaves the file as it was; two checkouts
+with different block sizes still share and check the first two. To time
+another checkout of the program into the same file, point ``--src`` at its
+``src`` directory:
 
     python scripts/bench_oracle.py --label change
     python scripts/bench_oracle.py --label parent --src /path/to/parent/src
@@ -85,6 +91,18 @@ def _op(seed, oracle, model, DetectorConfig, layers):
     return (arl, adds, cells), calls
 
 
+def _digests(result, block: int) -> dict:
+    """SHA-256 digests of one op's output in three parts (see the module
+    docstring)."""
+    arl, adds, cells = result
+    parts = {
+        "estimates": (arl, adds),
+        "bounds": [(c.n, c.a, c.lower, c.upper) for c in cells],
+        f"mc_block_{block}": [(c.mc_bias, c.mc_ci_halfwidth, c.contained) for c in cells],
+    }
+    return {name: hashlib.sha256(repr(part).encode()).hexdigest() for name, part in parts.items()}
+
+
 def _cell_label(fam, event, censor, n, a):
     return f"bias_bounds {event} | {censor} n={n} a={a:g}"
 
@@ -136,9 +154,9 @@ def measure(args) -> dict:
             t0 = time.process_time()
             result, calls = _op(seed, oracle, model, DetectorConfig, layers)
             op_s.append(time.process_time() - t0)
-            digest = hashlib.sha256(repr(result).encode()).hexdigest()
-            if digests.setdefault(str(seed), digest) != digest:
-                raise SystemExit(f"seed {seed}: two runs of one op gave different outputs")
+            for part, digest in _digests(result, survival._BLOCK_SAMPLES).items():
+                if digests.setdefault(f"{seed}/{part}", digest) != digest:
+                    raise SystemExit(f"seed {seed}: two runs of one op gave different {part}")
             for label, (cpu, faults) in calls.items():
                 per_call[label]["cpu_s"].append(cpu)
                 per_call[label]["minflt"].append(faults)

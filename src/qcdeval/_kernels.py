@@ -22,11 +22,13 @@ terms span at most _SPAN = 600 nats is at least exp(-600), a normal double,
 and its log is finite. A row whose llr falls by more than that within the
 block, or is NaN, keeps the pairwise ``np.logaddexp.accumulate``.
 
-Tie policy: GSR and CUSUM alarm once the statistic is within TIE_SLACK of the
-threshold (log R >= log h - TIE_SLACK, W >= h - TIE_SLACK), so an exact tie
-alarms whichever arithmetic reached it; the Monte-Carlo oracle uses the same
-slack. EWMA scans one sequence, comparing |Z - mu0| >= h * width with no
-slack for every level still without an alarm, one block at a time.
+Tie policy: GSR and CUSUM alarm once the statistic is within
+TIE_SLACK * max(1, |level|) of a finite level (``tie_levels``; log R >= log h
+less it, W >= h less it), so an exact tie alarms whichever arithmetic reached
+it, also above 2**14, where an absolute 1e-12 is below one ulp of the level;
+the Monte-Carlo oracle uses the same slack. EWMA scans one sequence,
+comparing |Z - mu0| >= h * width with no slack for every level still without
+an alarm, one block at a time.
 """
 
 import itertools
@@ -51,6 +53,14 @@ def first_crossings(stat, levels, start=0):
     return np.where(first < run_max.size, first + start, -1)
 
 
+def tie_levels(levels):
+    """The 1-D ``levels`` less the tie slack, TIE_SLACK * max(1, |level|),
+    where they are finite; infinite (and NaN) levels stay as they are."""
+    levels = np.asarray(levels, dtype=np.float64)
+    slack = TIE_SLACK * np.maximum(1.0, np.abs(levels))  # inf at an inf level
+    return levels - np.where(np.isfinite(levels), slack, 0.0)
+
+
 def _first_alarm_table(frames, offsets, levels, carry, block_stat, reset, llr=None):
     """First alarm of each row ``frames[offsets[i]:offsets[i + 1]]`` at each
     of the 1-D ``levels`` (-1 for none). ``llr`` maps frames to their llr
@@ -60,7 +70,7 @@ def _first_alarm_table(frames, offsets, levels, carry, block_stat, reset, llr=No
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.diff(offsets)
-    levels = np.asarray(levels, dtype=np.float64) - TIE_SLACK
+    levels = tie_levels(levels)
     by_level = np.argsort(levels, kind="stable")
     levels, k = levels[by_level], levels.size
     first = np.full((lengths.size, k), -1, dtype=np.int64)

@@ -284,9 +284,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     event, censor = parse_family_pair(args.family)
-    ns = [int(v) for v in args.n.split(",") if v]
-    if not ns:
-        raise CliError("empty n list")
+    ns = []
+    for item in args.n.split(","):
+        try:
+            ns.append(int(item))
+        except ValueError:
+            raise CliError(f"bad --n item {item!r} in {args.n!r}: "
+                           "expected comma-separated integers") from None
     reports = []
     all_contained = True
     for n in ns:

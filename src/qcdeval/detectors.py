@@ -19,8 +19,9 @@ dataset. GSR and CUSUM run it as one blocked kernel over the frame buffer
 (``qcdeval._kernels``), from prefix sums over fixed blocks of frames that
 carry log R or W across each block edge, so they stay within rounding of the
 per-frame recursion at every length. Both alarm once the statistic is within
-1e-12 of the threshold, as the Monte-Carlo oracle does. EWMA and the window
-detectors scan one sequence at a time.
+1e-12 * max(1, |level|) of a finite level (``_kernels.tie_levels``), as the
+Monte-Carlo oracle does. EWMA and the window detectors scan one sequence at
+a time.
 """
 
 from __future__ import annotations

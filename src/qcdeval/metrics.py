@@ -4,10 +4,11 @@ Computes the censoring-aware estimators (KM-ARL, KM-ADD) next to the
 conventional selection-based baselines (LB-ARL, LB-ADD, Naive ARL). All five
 read two sample tables of a (sequences x thresholds) table of first alarms,
 each rule written once: the ARL table (``arl_columns``) and the ADD table
-(``_add_table``), built in blocks of about ``_KM_BLOCK_SAMPLES`` cells that
-every metric reads. KM-ARL and KM-ADD fit each threshold's product-limit
-curve (``survival._restricted_rows``, one integral with ``rmst``); the
-baselines are the tables' uncensored cells: Naive ARL averages the ARL
+(``_add_table``), built in blocks of about ``survival._BLOCK_SAMPLES``
+cells (the package's one block size) that every metric reads. KM-ARL and
+KM-ADD fit each threshold's product-limit curve
+(``survival._restricted_rows``, one integral with ``rmst``); the baselines
+are the tables' uncensored cells: Naive ARL averages the ARL
 events, LB-ARL those of no-change sequences, LB-ADD the ADD events. So an
 alarm that is NaN or finite outside [0, T) raises, instead of being
 censored by one metric and averaged by another. ``_estimates`` computes any
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .survival import SurvivalSample, _restricted_rows
+from .survival import _BLOCK_SAMPLES, SurvivalSample, _restricted_rows
 # Unused here, kept because qcdbench's traced runs wrap metrics.fit_km and
 # metrics.rmst.
 from .survival import fit_km, rmst  # noqa: F401
@@ -58,12 +59,6 @@ __all__ = [
 INF = math.inf
 
 METRIC_NAMES = ("km-arl", "km-add", "lb-arl", "lb-add", "naive-arl")
-
-# Cells per block of the sample tables (whole thresholds, at least one):
-# about 1 MB of working arrays, less than the detector scan's own peak at the
-# 1k-sequence benchmark size, so the metrics never set a curve's peak memory.
-# Whole tables would add about 26 MB at 20k sequences x 40 thresholds.
-_KM_BLOCK_SAMPLES = 2**14
 
 
 def _changepoint_ok(nu, lengths):
@@ -239,7 +234,7 @@ def _mean(name, arr):
 def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
     """``estimate_columns`` of every metric in ``names``, keyed by name. The
     ARL and ADD tables are built in blocks of whole thresholds, about
-    ``_KM_BLOCK_SAMPLES`` cells each, and every metric reads each block."""
+    ``_BLOCK_SAMPLES`` cells each, and every metric reads each block."""
     for name in names:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric: {name}")
@@ -250,7 +245,7 @@ def _estimates(names, lengths, nu, taus, upper_limit=None) -> dict:
     _check("length", lengths, (lengths >= 0) & (lengths < INF), lengths)
     _check("changepoint", nu, _changepoint_ok(nu, lengths), lengths)
     out = {name: [] for name in names}  # one entry per metric, repeated or not
-    step = max(1, _KM_BLOCK_SAMPLES // max(n, 1))
+    step = max(1, _BLOCK_SAMPLES // max(n, 1))
     for first in range(0, k, step):
         tau = np.ascontiguousarray(taus[:, first:first + step].T)  # (thresholds, n)
         # Every alarm inf (no alarm) or in [0, T).

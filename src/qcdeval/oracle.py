@@ -10,8 +10,8 @@ Three routes live here:
   split at the censoring law's breakpoints, together with a
   Monte-Carlo bias measurement of the estimator under test
   (``rmst_km_batch``, the restricted-mean integral of the KM metrics) that
-  must fall inside the bounds. A cell holds its event draw, 8 B per sample,
-  plus one block of censoring draws, flags and product-limit work arrays.
+  must fall inside the bounds. A cell draws, censors and fits its
+  replications one block at a time, so it holds one block's memory.
 * An empirical check of the truncation-bias ordering between the
   censoring-aware and the selection-based estimators
   (``truncation_ordering_check``).
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._kernels import TIE_SLACK
+from ._kernels import tie_levels
 from .detectors import DetectorConfig, LikelihoodModel, detector_levels
 from .metrics import MetricEstimate
 from .simulate import _checked_seed, _is_int
@@ -212,13 +212,13 @@ def bias_bounds(
     pass 4096 nodes; the Monte-Carlo bias must lie inside the bounds inflated
     by its own 3-sigma confidence halfwidth.
 
-    The event times of all ``mc_reps`` replications are drawn at once, 8 B
-    per sample, and then censored and fitted in row blocks of about
-    ``survival._BLOCK_SAMPLES`` samples, each with its own censoring draw:
-    the censoring draws, the observed flags and the fit's work arrays take
-    one block's memory, whatever ``mc_reps``. The rows of a C-order draw are
-    consecutive pieces of the generator's stream, so the blocked draws equal
-    one ``(mc_reps, n)`` draw bit for bit.
+    The replications run in row blocks of ``max(1, survival._BLOCK_SAMPLES
+    // n)`` rows. Each block draws its event times, then its censoring
+    times, censors the events in place and fits them with
+    ``rmst_km_batch``, so a cell holds one block's draws, flags and work
+    arrays, whatever ``mc_reps``; only the restricted means, 8 B per
+    replication, span every block. The draws, and so the Monte-Carlo bias,
+    depend on the block size; the quadrature bounds do not.
     """
     if not _is_int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -239,17 +239,15 @@ def bias_bounds(
         if abs(lower - last[0]) + abs(upper - last[1]) < 1e-8 * scale:
             break
 
-    times = event.sample(rng, (mc_reps, n))
     values = np.empty(mc_reps)
     step = max(1, _BLOCK_SAMPLES // n)
     for first in range(0, mc_reps, step):
-        rows = slice(first, first + step)
-        block = times[rows]  # a view: censored in place
-        ce = censor.sample(rng, block.shape)
-        observed = block < ce
-        np.minimum(block, ce, out=block)
+        shape = (min(step, mc_reps - first), n)
+        times, ce = event.sample(rng, shape), censor.sample(rng, shape)
+        observed = times < ce
+        np.minimum(times, ce, out=times)  # censored in place
         del ce  # freed before the fit's work arrays are made
-        values[rows] = rmst_km_batch(block, observed, a)
+        values[first : first + step] = rmst_km_batch(times, observed, a)
     mc_bias = float(np.mean(values - event.restricted_mean(a)))
     ci = 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)
     contained = (lower - ci) <= mc_bias <= (upper + ci)
@@ -309,7 +307,7 @@ def _detector_state(model: LikelihoodModel, config: DetectorConfig, n: int):
     if model != config.model:
         raise ValueError(f"oracle model {model} is not the detector's model {config.model}")
     # The scans' level of the threshold, with the same exact-tie slack.
-    thr = float(detector_levels(config, config.threshold)[0]) - TIE_SLACK
+    thr = float(tie_levels(detector_levels(config, config.threshold))[0])
     if config.kind == "gsr":
         init = math.log(config.omega) if config.omega > 0 else -math.inf
         return np.full(n, init), _gsr_step, thr

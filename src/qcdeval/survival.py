@@ -9,7 +9,9 @@ KM metrics' threshold columns (``_restricted_rows``), is the one integral
 ``_integrals``: the curves' rectangles back to back in flat arrays, summed
 per curve by one ``np.add.reduceat``, so a curve's value does not depend on
 which path or block it was fitted in. ``rmst_km_batch`` sums the value
-alone.
+alone. Every blocked fit, here, in the metrics' sample tables and in the
+bias-bound cells of ``oracle``, takes blocks of about ``_BLOCK_SAMPLES``
+samples (2**14), so its working memory does not grow with the row count.
 
 Monte-Carlo replications draw from continuous laws and never tie, and a
 block without ties skips the tie-group bookkeeping of the fit (see
@@ -28,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Samples per product-limit block in rmst_km_batch, and per censoring block
-# in oracle.bias_bounds: about 3 MB of working arrays (near 50 B per sample),
-# whatever the number of replications.
-_BLOCK_SAMPLES = 2**16
+# Samples (or table cells) per block, the one block size of the package:
+# product-limit blocks in rmst_km_batch, the draw-and-fit blocks of
+# oracle.bias_bounds and the sample-table blocks of the metrics. About 1 MB
+# of working arrays (near 50 B per sample), whatever the number of rows: less
+# than a curve's detector scan, so no blocked fit sets a run's peak memory.
+_BLOCK_SAMPLES = 2**14
 
 __all__ = [
     "SurvivalSample",
@@ -287,8 +291,7 @@ def rmst_km_batch(times: np.ndarray, events: np.ndarray, upper_limit: float) -> 
     one at a time would dominate the runtime. Rows are fitted in blocks of
     about ``_BLOCK_SAMPLES`` samples, so the working memory does not grow
     with reps: beyond the inputs and the output, one block's.
-    ``bias_bounds`` passes one such block per call, so a bias-bound cell
-    holds 8 B per sample for its event draw plus one block.
+    ``bias_bounds`` draws and passes one such block per call.
     """
     times, events = _checked_samples(times, events, ndim=2)
     a = _checked_limit(upper_limit)

@@ -586,6 +586,15 @@ class TestBoundsExitCodes:
         captured = capsys.readouterr()
         assert "n must be >= 1" in captured.err and "VIOLATED" not in captured.out
 
+    @pytest.mark.parametrize("n,item", [
+        ("5,,20", ""), ("abc", "abc"), ("", ""), ("5,", ""), ("5,2.5", "2.5"), ("5,1e3", "1e3"),
+    ])
+    def test_malformed_n_item_exit_2(self, capsys, n, item):
+        assert self._verify("exp:1,unif:0,2", n, "1") == 2
+        captured = capsys.readouterr()
+        assert f"bad --n item {item!r} in {n!r}" in captured.err
+        assert "invalid literal" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "family", ["exp:nan,unif:0,2", "exp:inf,unif:0,2", "exp:1,unif:0,inf"]
     )

@@ -73,8 +73,14 @@ def ewma_reference(x, lam, levels, burn_in, mu0, sigma0):
     return [int(i[0]) + burn_in if i.size else -1 for i in hits]
 
 
+def slack(level):
+    """The scans' tie slack below a level: SLACK * max(1, |level|) where the
+    level is finite, 0 where it is not."""
+    return SLACK * max(1.0, abs(level)) if math.isfinite(level) else 0.0
+
+
 def first_at_or_above(path, level):
-    hits = np.nonzero(path >= level - SLACK)[0]
+    hits = np.nonzero(path >= level - slack(level))[0]
     return int(hits[0]) if hits.size else -1
 
 
@@ -120,6 +126,37 @@ def test_cusum_tie_needs_slack():
     # Recursion: 0.7 + 0.2 = 0.8999999999999999, one ulp below 0.9.
     assert cusum_path([-0.1, 0.7, 0.2])[2] < 0.9
     assert _kernels.cusum_first_alarm([-0.1, 0.7, 0.2], [0.9]).tolist() == [2]
+
+
+def blocked_cusum_path(llr):
+    """W(t) as the scan computes it: prefix sums over blocks of
+    ``_kernels.BLOCK`` frames, W carried across each block edge."""
+    out, w = np.empty(len(llr)), np.zeros(1)
+    for s in range(0, len(llr), _kernels.BLOCK):
+        block = _kernels._cusum_block(np.cumsum(llr[None, s : s + _kernels.BLOCK], axis=1), w)
+        out[s : s + block.shape[1]] = block[0]
+        w = block[:, -1]
+    return out
+
+
+def test_cusum_tie_above_2_14_alarms_at_the_reference_frame():
+    # Above 2**14 one ulp of W (3.6e-12) is more than an absolute 1e-12, so
+    # only a slack relative to the level lets an exact tie of the per-frame
+    # W alarm where the blocked W rounds below it.
+    llr = np.random.default_rng(0).normal(1.0, 1.0, 20_000)
+    path, blocked = cusum_path(llr), blocked_cusum_path(llr)
+    new_max = path > np.maximum.accumulate(np.concatenate([[-np.inf], path[:-1]]))
+    t = int(np.flatnonzero((path > 2**14) & new_max & (blocked < path - SLACK))[0])
+    assert first_at_or_above(path, path[t]) == t
+    assert _kernels.cusum_first_alarm(llr, [path[t]]).tolist() == [t]
+
+
+def test_tie_levels_relative_to_finite_levels():
+    levels = [-2.0, 0.5, 1.0, 2.0**15, math.inf, -math.inf]
+    got = _kernels.tie_levels(levels).tolist()
+    assert got[:4] == [-2.0 - 2 * SLACK, 0.5 - SLACK, 1.0 - SLACK, 2.0**15 - SLACK * 2.0**15]
+    assert got[4:] == [math.inf, -math.inf]
+    assert math.isnan(_kernels.tie_levels([math.nan])[0])
 
 
 def test_random_thresholds_match_reference():
@@ -284,7 +321,8 @@ def scan_cases(draw):
     model = draw(st.sampled_from([LIMIT_MODEL, *MODELS.values()]))
     omega = draw(st.sampled_from([0.0, 0.5, 3.0])) if kind == "gsr" else 0.0
     grid = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, 5.0, 100.0, 1e6, 1e300, math.inf])
-                         | st.floats(0.5, 1e4), min_size=1, max_size=6))
+                         | st.floats(0.5, 1e4) | st.floats(2.0**14, 2.0**20),
+                         min_size=1, max_size=6))
     edges = [1, 2, 255, 256, 257, 511, 512, 513]
     rows = []
     for seed in range(draw(st.integers(1, 4))):
@@ -305,9 +343,9 @@ def scan_cases(draw):
 
 def _reference(kind, model, omega, x, levels):
     """First frame of the per-frame recursion at each level, and per frame
-    the tolerance of the block form: the tie slack plus 1e-9 of the sum of
-    |llr| (and |log omega|) since the sequence start or the last llr of
-    -inf, after which both forms restart exactly."""
+    the drift of the block form: 1e-9 of the sum of |llr| (and |log omega|)
+    since the sequence start or the last llr of -inf, after which both forms
+    restart exactly."""
     llr = model.llr(x)
     path = gsr_path(llr, omega) if kind == "gsr" else cusum_path(llr)
     scale = np.where(np.isfinite(llr), np.abs(llr), 0.0)
@@ -316,7 +354,7 @@ def _reference(kind, model, omega, x, levels):
     total, tol = 0.0, np.empty(len(llr))
     for t, (v, r) in enumerate(zip(scale.tolist(), restart.tolist())):
         total = 0.0 if r else total + v
-        tol[t] = SLACK + 1e-9 * total
+        tol[t] = 1e-9 * total
     return path, tol, [first_at_or_above(path, level) for level in levels]
 
 
@@ -330,7 +368,7 @@ def _reference(kind, model, omega, x, levels):
 def test_scan_table_matches_per_frame_recursion(case):
     """``scan_table`` row by row against the per-frame recursion: equal
     frames, or the two disagree only where the statistic is within the
-    block form's tolerance of the level."""
+    block form's drift and the tie slack of the level."""
     kind, model, omega, grid, rows = case
     config = DetectorConfig(kind=kind, threshold=None, model=model, omega=omega)
     levels = detector_levels(config, grid)
@@ -342,9 +380,10 @@ def test_scan_table_matches_per_frame_recursion(case):
             for level, g, w in zip(levels.tolist(), got, want):
                 if g == w:
                     continue
+                tol_level = tol + slack(level)
                 g_end, w_end = (len(x) if f < 0 else f for f in (g, w))
                 if g_end < w_end:  # the block form alarms first: near the level there
-                    ok = path[g_end] >= level - tol[g_end]
+                    ok = path[g_end] >= level - tol_level[g_end]
                 else:  # it alarms later or never: near or below the level until then
-                    ok = bool(np.all(path[w_end:g_end] <= level + tol[w_end:g_end]))
+                    ok = bool(np.all(path[w_end:g_end] <= level + tol_level[w_end:g_end]))
                 assert ok, (kind, level, g, w, x.tolist())

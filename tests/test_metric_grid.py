@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcdeval import metrics
+from qcdeval import metrics, survival
 from qcdeval.detectors import DetectorConfig, LikelihoodModel
 from qcdeval.harness import alarm_columns, sweep
 from qcdeval.metrics import (
@@ -140,7 +140,7 @@ def test_one_sequence_and_one_threshold():
 def test_table_over_several_blocks():
     rng = np.random.default_rng(3)
     n, k = 3000, 12
-    assert metrics._KM_BLOCK_SAMPLES // n < k  # more than one block of rows
+    assert survival._BLOCK_SAMPLES // n < k  # more than one block of rows
     lengths = rng.integers(30, 301, n).astype(float)
     nu = np.where(rng.random(n) < 0.9, np.floor(rng.random(n) * lengths), INF)
     taus = np.floor(rng.random((n, k)) * lengths[:, None] * 1.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames
+from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames, detector_levels
 from qcdeval import oracle
 from qcdeval.metrics import MetricEstimate
 from qcdeval.oracle import (
@@ -24,6 +24,9 @@ POISSON = LikelihoodModel(kind="poisson", lam0=1.0, lam1=2.0)
 EXP, UNIF = Dist("exp", 1.0), Dist("unif", 0.0, 2.0)
 EVENT_TABLE = Dist("empirical", [0.3, 0.8, 1.5, 2.0], [0.25, 0.25, 0.3, 0.2])
 CENSOR_TABLE = Dist("empirical", [3.0, 0.5, 1.0, 1.0], [0.4, 0.2, 0.3, 0.1])
+# (mc_bias, mc_ci_halfwidth) of bias_bounds(EXP, UNIF, 100, 1.0, 2000, seed=7)
+# drawn in blocks of 2**14 samples.
+PINNED_MULTI_BLOCK = (-0.001201055846429409, 0.0025412194448699694)
 
 
 def mean_sem(taus):
@@ -113,8 +116,9 @@ class TestBiasBounds:
         assert a == b
 
     def test_cell_peak_memory(self):
-        # One n=100, 10k-rep cell: the event draw, 8 B per sample, plus one
-        # block of censoring draws, flags and product-limit work arrays.
+        # One n=100, 10k-rep cell holds one block at a time: its draws, flags
+        # and product-limit work arrays (about 1 MB), plus the restricted
+        # means (8 B per rep) and the quadrature rules it builds.
         tracemalloc.start()
         try:
             bias_bounds(Dist("exp", 1.0), Dist("unif", 0.0, 2.0), n=100, a=1.0,
@@ -122,12 +126,13 @@ class TestBiasBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20, peak
+        assert peak <= 4 * 2**20, peak
 
-    def test_peak_grows_by_the_event_draw_alone(self):
-        # From 10k to 40k reps at n=100 only the event draw (8 B per sample)
-        # and the restricted means (8 B per rep) grow. Drawing the censoring
-        # times and flags for every rep at once would add 9 B per sample.
+    def test_peak_does_not_grow_with_reps(self):
+        # From 10k to 40k reps at n=100 only the restricted means grow, 8 B
+        # per rep. Drawing every rep's event times at once would add 8 B per
+        # sample, 24 MB here.
+        bias_bounds(EXP, UNIF, n=100, a=1.0, mc_reps=2)  # builds the cached rules
         peaks = []
         for reps in (10_000, 40_000):
             tracemalloc.start()
@@ -136,13 +141,12 @@ class TestBiasBounds:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        per_sample = (peaks[1] - peaks[0]) / (30_000 * 100)
-        assert per_sample <= 8.8, per_sample
+        assert peaks[1] - peaks[0] <= 8 * 30_000 + 2**16, peaks
 
     @pytest.mark.parametrize(
         "event,censor,n,mc_reps",
         [
-            (EXP, UNIF, 100, 2000),  # 655-row blocks, the last one short
+            (EXP, UNIF, 100, 2000),  # 163-row blocks, the last one short
             (Dist("unif", 0.0, 1.0), EXP, 7, 12_345),
             (EXP, UNIF, 20, 2),
             (EVENT_TABLE, CENSOR_TABLE, 5, 30_000),
@@ -152,18 +156,29 @@ class TestBiasBounds:
     )
     def test_blocked_draws_are_bit_identical_to_one_draw(self, event, censor, n, mc_reps):
         rep = bias_bounds(event, censor, n=n, a=1.0, mc_reps=mc_reps, seed=7)
-        assert (rep.mc_bias, rep.mc_ci_halfwidth) == one_draw_mc_bias(
+        assert (rep.mc_bias, rep.mc_ci_halfwidth) == per_block_mc_bias(
             event, censor, n, 1.0, mc_reps, seed=7
         )
 
+    def test_multi_block_cell_is_pinned(self):
+        # 13 blocks of 163 rows: a change of the block size moves the draws.
+        rep = bias_bounds(EXP, UNIF, n=100, a=1.0, mc_reps=2000, seed=7)
+        assert (rep.mc_bias, rep.mc_ci_halfwidth) == PINNED_MULTI_BLOCK
 
-def one_draw_mc_bias(event, censor, n, a, mc_reps, seed):
-    """The Monte-Carlo side of bias_bounds from one event draw and one
-    censoring draw of every replication, fitted in one rmst_km_batch call:
-    (mc_bias, mc_ci_halfwidth)."""
+
+def per_block_mc_bias(event, censor, n, a, mc_reps, seed):
+    """The Monte-Carlo side of bias_bounds written out: blocks of
+    max(1, 2**14 // n) replications, each drawing its event times and then
+    its censoring times, and every replication fitted in one rmst_km_batch
+    call: (mc_bias, mc_ci_halfwidth)."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    ev = event.sample(rng, (mc_reps, n))
-    ce = censor.sample(rng, (mc_reps, n))
+    rows = max(1, 2**14 // n)
+    ev, ce = [], []
+    for first in range(0, mc_reps, rows):
+        shape = (min(rows, mc_reps - first), n)
+        ev.append(event.sample(rng, shape))
+        ce.append(censor.sample(rng, shape))
+    ev, ce = np.concatenate(ev), np.concatenate(ce)
     values = rmst_km_batch(np.minimum(ev, ce), ev < ce, a)
     mc_bias = float(np.mean(values - event.restricted_mean(a)))
     return mc_bias, 3.0 * float(values.std(ddof=1)) / math.sqrt(mc_reps)
@@ -296,6 +311,13 @@ class TestTrueARL:
         cfg = DetectorConfig(kind="gsr", threshold=10.0, model=model)
         est = true_arl_mc(model, cfg, n_reps=200, horizon_cap=100, seed=0)
         assert est.value == 9.0 and est.sem == 0.0
+
+    @pytest.mark.parametrize("kind,threshold", [("cusum", 2.0**15), ("gsr", 1e6)])
+    def test_alarm_level_has_the_scans_relative_slack(self, kind, threshold):
+        # Above 2**14 an absolute 1e-12 rounds away: 2**15 - 1e-12 is 2**15.
+        cfg = DetectorConfig(kind=kind, threshold=threshold, model=GAUSS)
+        level = float(detector_levels(cfg, threshold)[0])
+        assert oracle._detector_state(GAUSS, cfg, 1)[2] == level - 1e-12 * max(1.0, abs(level))
 
     def test_cap_error(self):
         model = LikelihoodModel(kind="gaussian", mu0=0.0, mu1=-1.0, var=1.0)
