@@ -4,8 +4,12 @@ Subcommands: simulate, evaluate, curve, survival, oracle, verify-bounds.
 Exit codes: 0 success, 2 validation/usage error (``CliError``, ``OSError`` or
 ``ValueError``, mapped in ``main``), 3 verification failure.
 Every run writes a manifest JSON after its result files, so a run that fails
-leaves neither. ``evaluate`` is a one-threshold ``sweep``, and ``survival``
-fits one alarm column of ``harness.alarm_columns``, which ``sweep`` reads.
+leaves neither. The dataset commands (``evaluate``, ``curve``, ``survival``)
+share their flags (``_dataset_parser``) and check every flag, the detector
+config included, before ``_load`` reads the data, so a bad flag exits 2
+before the data file is parsed or its ingest sidecar written. ``evaluate`` is
+a one-threshold ``sweep``, and ``survival`` fits one alarm column of
+``harness.alarm_columns``, which ``sweep`` reads.
 ``-v``/``--log-level LEVEL`` sends qcdeval's log records (the ingest-cache
 hit or miss, dropped and rejected sequences) at that level and above to
 stderr for the run; without it, logging is left as it is.
@@ -61,34 +65,39 @@ def parse_model(text: str) -> LikelihoodModel:
 
 def parse_thresholds(text: str) -> list[float]:
     """"start:stop:num-log" (geometric) or "start:stop:num-lin" (arithmetic)
-    or a comma-separated explicit list."""
+    or a comma-separated explicit list; the grid must be NaN-free and
+    strictly increasing, as ``harness.sweep`` requires."""
     if ":" not in text:
         try:
             grid = [float(v) for v in text.split(",") if v]
         except ValueError as exc:
             raise CliError(f"bad threshold grid {text!r}: {exc}") from None
-        if not grid:
-            raise CliError("empty threshold grid")
-        return grid
-    try:
-        start_s, stop_s, num_s = text.split(":")
-        start, stop = float(start_s), float(stop_s)
-        num_s, _, scale = num_s.partition("-")
-        num = int(num_s)
-        scale = scale or "log"
-    except ValueError as exc:
-        raise CliError(f"bad threshold grid {text!r}: {exc}") from None
-    if num < 1:
-        raise CliError("empty threshold grid")
-    if scale == "log":
-        if start <= 0:
-            raise CliError("log grid requires start > 0")
-        grid = np.geomspace(start, stop, num)
-    elif scale == "lin":
-        grid = np.linspace(start, stop, num)
     else:
-        raise CliError(f"unknown grid scale: {scale!r}")
-    return [float(v) for v in grid]
+        try:
+            start_s, stop_s, num_s = text.split(":")
+            start, stop = float(start_s), float(stop_s)
+            num_s, _, scale = num_s.partition("-")
+            num = int(num_s)
+            scale = scale or "log"
+        except ValueError as exc:
+            raise CliError(f"bad threshold grid {text!r}: {exc}") from None
+        if num < 1:
+            raise CliError("empty threshold grid")
+        if scale == "log":
+            if start <= 0:
+                raise CliError("log grid requires start > 0")
+            grid = np.geomspace(start, stop, num).tolist()
+        elif scale == "lin":
+            grid = np.linspace(start, stop, num).tolist()
+        else:
+            raise CliError(f"unknown grid scale: {scale!r}")
+    if not grid:
+        raise CliError("empty threshold grid")
+    if np.isnan(grid).any():
+        raise CliError("threshold grid must not contain NaN")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise CliError(f"thresholds must be strictly increasing: {text!r}")
+    return grid
 
 
 def parse_family_pair(text: str) -> tuple[Dist, Dist]:
@@ -124,8 +133,11 @@ def _detector_config(args) -> DetectorConfig:
 
 
 def _load(args):
+    """The detector config and the dataset of a dataset command, in that
+    order; the command checks its other flags before it calls this."""
+    config = _detector_config(args)
     fmt = "csv" if str(args.data).endswith(".csv") else "jsonl"
-    return ingest(args.data, fmt=fmt, min_length=args.min_length)
+    return config, ingest(args.data, fmt=fmt, min_length=args.min_length)
 
 
 def _add_detector_flags(p):
@@ -168,11 +180,11 @@ def _logging(level):
         logger.setLevel(saved)
 
 
-def _manifest_path(args, out):
-    return args.manifest or f"{out}.manifest.json"
+def _manifest_path(args):
+    return args.manifest or f"{args.out}.manifest.json"
 
 
-def _run_manifest(args, out, config: DetectorConfig, dataset=None, **keys):
+def _run_manifest(args, config: DetectorConfig, dataset=None, **keys):
     """Write the manifest of a detector command: its own ``keys``, the full
     detector config and, where a dataset was loaded, its hash and ingest
     counts."""
@@ -185,7 +197,7 @@ def _run_manifest(args, out, config: DetectorConfig, dataset=None, **keys):
                           "n_dropped_short": report.n_dropped_short,
                           "n_rejected": report.n_rejected}
         dataset_hash = dataset.content_hash()
-    write_manifest(_manifest_path(args, out), command=args.command, config=body,
+    write_manifest(_manifest_path(args), command=args.command, config=body,
                    seed=args.seed, dataset_hash=dataset_hash)
 
 
@@ -196,12 +208,8 @@ def cmd_simulate(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     dataset = simulate(spec)
     save_jsonl(dataset, args.out)
-    write_manifest(
-        _manifest_path(args, args.out),
-        command="simulate",
-        config=spec.to_json(),
-        seed=spec.seed,
-    )
+    write_manifest(_manifest_path(args), command="simulate", config=spec.to_json(),
+                   seed=spec.seed)
     print(f"wrote {len(dataset)} sequences to {args.out}")
     return EXIT_OK
 
@@ -214,45 +222,39 @@ def _metrics(args) -> list[str]:
 
 
 def cmd_evaluate(args) -> int:
-    config = _detector_config(args)
-    dataset = _load(args)
     metrics = _metrics(args)
+    config, dataset = _load(args)
     point = sweep(dataset, config, [args.threshold], metrics).points[0]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({name: est.to_json() for name, est in point.estimates.items()},
                   fh, indent=2)
         fh.write("\n")
-    _run_manifest(args, args.out, config, dataset,
-                  threshold=args.threshold, metrics=metrics)
+    _run_manifest(args, config, dataset, threshold=args.threshold, metrics=metrics)
     print(f"wrote metrics for {len(dataset)} sequences to {args.out}")
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    config = _detector_config(args)
-    dataset = _load(args)
-    grid = parse_thresholds(args.thresholds)
-    metrics = _metrics(args)
+    grid, metrics = parse_thresholds(args.thresholds), _metrics(args)
+    config, dataset = _load(args)
     result = sweep(dataset, config, grid, metrics)
     emit_curve(result, args.out, fmt="csv")
     if args.svg:
         emit_curve(result, args.svg, fmt="svg")
-    _run_manifest(args, args.out, config, dataset, thresholds=grid, metrics=metrics)
+    _run_manifest(args, config, dataset, thresholds=grid, metrics=metrics)
     print(f"wrote {len(grid)}-point curve to {args.out}")
     return EXIT_OK
 
 
 def cmd_survival(args) -> int:
-    config = _detector_config(args)
-    dataset = _load(args)
+    config, dataset = _load(args)
     lengths, nu, tau = alarm_columns(dataset, config, [args.threshold])
     rule = arl_columns if args.kind == "arl" else add_columns
     times, events = rule(lengths, nu, tau[:, 0])
     if not times.size:
         raise CliError(f"no {args.kind} samples in this dataset")
     fit_km_arrays(times, events).to_csv(args.out)
-    _run_manifest(args, args.out, config, dataset,
-                  threshold=args.threshold, kind=args.kind)
+    _run_manifest(args, config, dataset, threshold=args.threshold, kind=args.kind)
     print(f"wrote {args.kind} survival curve ({times.size} samples) to {args.out}")
     return EXIT_OK
 
@@ -276,8 +278,8 @@ def cmd_oracle(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(line)
-        _run_manifest(args, args.out, config, model=args.model,
-                      threshold=args.threshold, reps=args.reps)
+        _run_manifest(args, config, model=args.model, threshold=args.threshold,
+                      reps=args.reps)
     sys.stdout.write(line)
     return EXIT_OK
 
@@ -313,14 +315,24 @@ def cmd_verify_bounds(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(fields)
             writer.writerows([getattr(r, k) for k in fields] for r in reports)
-        write_manifest(
-            _manifest_path(args, args.out),
-            command="verify-bounds",
-            config={"family": args.family, "n": ns, "a": args.a, "reps": args.reps},
-            seed=args.seed,
-        )
+        write_manifest(_manifest_path(args), command="verify-bounds", seed=args.seed,
+                       config={"family": args.family, "n": ns, "a": args.a, "reps": args.reps})
     print("all contained" if all_contained else "containment VIOLATED")
     return EXIT_OK if all_contained else EXIT_VERIFICATION
+
+
+def _dataset_parser(sub, name, summary, func):
+    """A subcommand that reads a dataset: its data and output paths,
+    ``--min-length``, the detector and common flags. The caller adds the
+    command's own flags."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--min-length", dest="min_length", type=int, default=2)
+    _add_detector_flags(p)
+    _add_common(p)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,36 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seeded=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("evaluate", help="metrics at a single threshold")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _dataset_parser(sub, "evaluate", "metrics at a single threshold", cmd_evaluate)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--metrics", default=",".join(METRIC_NAMES))
-    p.add_argument("--min-length", dest="min_length", type=int, default=2)
-    _add_detector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("curve", help="threshold sweep to a tradeoff curve")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _dataset_parser(sub, "curve", "threshold sweep to a tradeoff curve", cmd_curve)
     p.add_argument("--svg", default=None)
     p.add_argument("--thresholds", required=True, help="start:stop:num-log")
     p.add_argument("--metrics", default=",".join(METRIC_NAMES))
-    p.add_argument("--min-length", dest="min_length", type=int, default=2)
-    _add_detector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("survival", help="export a fitted survival curve")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = _dataset_parser(sub, "survival", "export a fitted survival curve", cmd_survival)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--kind", choices=("arl", "add"), default="arl")
-    p.add_argument("--min-length", dest="min_length", type=int, default=2)
-    _add_detector_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_survival)
 
     p = sub.add_parser("oracle", help="Monte-Carlo ground-truth run length")
     p.add_argument("--threshold", type=float, required=True)

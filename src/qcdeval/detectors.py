@@ -205,6 +205,9 @@ def _l1_cost(windows: np.ndarray) -> np.ndarray:
     return np.abs(windows - med).sum(axis=(1, 2))
 
 
+_VAR_FLOOR = 1e-12  # window-normal: a window's variance is taken as var + floor
+
+
 def _normal_cost(windows: np.ndarray) -> np.ndarray:
     width = windows.shape[1]
     # Frames near the float64 limit overflow the variance to inf (and the
@@ -212,12 +215,16 @@ def _normal_cost(windows: np.ndarray) -> np.ndarray:
     # s = max |x| keeps the cost of finite frames finite.
     with np.errstate(over="ignore", invalid="ignore"):
         var = windows.var(axis=1)  # per feature
-    log_var = np.log(var + 1e-12)
+    log_var = np.log(var + _VAR_FLOOR)
     big = ~np.isfinite(var)
     if big.any():
+        # log(var + floor) in log space: a constant window (var(x / s) = 0)
+        # takes the floor, as in the ordinary branch, not log 0.
         x = np.moveaxis(windows, 2, 1)[big]
         s = np.abs(x).max(axis=1)
-        log_var[big] = np.log((x / s[:, None]).var(axis=1)) + 2.0 * np.log(s)
+        with np.errstate(divide="ignore"):
+            log_var[big] = np.logaddexp(np.log((x / s[:, None]).var(axis=1)) + 2.0 * np.log(s),
+                                        np.log(_VAR_FLOOR))
     return 0.5 * width * log_var.sum(axis=1)
 
 
@@ -235,17 +242,26 @@ def _window_frames(values, config: DetectorConfig, levels):
         return _kernels.first_crossings(arr[:0, 0], levels)  # no frame alarms
 
     cost = _l1_cost if config.kind == "window-l1" else _normal_cost
-    joint = np.lib.stride_tricks.sliding_window_view(arr, 2 * w, axis=0)
-    halves = np.lib.stride_tricks.sliding_window_view(arr, w, axis=0)
     # Window starting at frame r spans frames [r, r + width); stride views put
     # the window axis last, so move it next to the frame axis.
-    joint_cost = cost(np.moveaxis(joint, -1, 1))
-    half_cost = cost(np.moveaxis(halves, -1, 1))
-
-    # The joint window starting at r has its right edge at t = r + 2w - 1;
-    # the gain is padded in front so that it is indexed by t.
-    starts = np.arange(n - 2 * w + 1)
-    gain = joint_cost - half_cost[starts] - half_cost[starts + w]
+    joint = np.moveaxis(np.lib.stride_tricks.sliding_window_view(arr, 2 * w, axis=0), -1, 1)
+    halves = np.lib.stride_tricks.sliding_window_view(arr, w, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_cost = cost(np.moveaxis(halves, -1, 1))
+        # The joint window starting at r has its right edge at t = r + 2w - 1;
+        # the gain is padded in front so that it is indexed by t.
+        starts = np.arange(n - 2 * w + 1)
+        gain = cost(joint) - half_cost[starts] - half_cost[starts + w]
+        bad = np.flatnonzero(~np.isfinite(gain))
+        if bad.size and cost is _l1_cost:
+            # Frames near the float64 limit overflow an L1 cost to inf (and
+            # the gain to inf - inf). The cost is homogeneous, so these gains
+            # are computed exactly in units of a power of two 2**e at least
+            # the window's largest |frame|; past the float range a gain is inf.
+            x = joint[bad]
+            e = np.frexp(np.abs(x).max(axis=(1, 2)))[1]
+            x = np.ldexp(x, -e[:, None, None])
+            gain[bad] = np.ldexp(_l1_cost(x) - _l1_cost(x[:, :w]) - _l1_cost(x[:, w:]), e)
     return _kernels.first_crossings(np.pad(gain, (2 * w - 1, 0)), levels, first_t)
 
 

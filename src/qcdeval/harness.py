@@ -91,10 +91,18 @@ class SweepResult:
 
 
 def _parse_record(obj: dict, line_no: int):
+    """A JSONL record: frames and changepoint must be JSON numbers, so a
+    bool or a string (``true``, ``"2"``) is malformed, not read as one."""
     try:
         seq_id = str(obj["id"])
-        values = np.asarray(obj["values"], dtype=np.float64)
-        nu = None if obj["nu"] is None else float(obj["nu"])
+        raw = np.asarray(obj["values"])
+        values = raw.astype(np.float64, copy=False)
+        if raw.dtype.kind in "bUS":
+            raise TypeError("values must be JSON numbers")
+        nu = obj["nu"]
+        if isinstance(nu, (bool, str)):
+            raise TypeError(f"changepoint must be a number or null, got {nu!r}")
+        nu = None if nu is None else float(nu)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed record at line {line_no}: {exc}") from None
     if values.ndim not in (1, 2) or values.size == 0:
@@ -467,20 +475,15 @@ def _render_svg(result: SweepResult) -> str:
         color = colors[fam]
         for arl, add in _pairs(result, arl_name, add_name):
             cx, cy = sx(max(arl.value, 1e-3)), sy(add.value)
+            bars = []  # (x1, y1, x2, y2): the ARL bar, then the ADD bar
             if arl.sem:
-                parts.append(
-                    f'<line class="errorbar-{fam}" '
-                    f'x1="{sx(max(arl.value - arl.sem, 1e-9)):.2f}" y1="{cy:.2f}" '
-                    f'x2="{sx(arl.value + arl.sem):.2f}" y2="{cy:.2f}" '
-                    f'stroke="{color}"/>'
-                )
+                bars.append((sx(max(arl.value - arl.sem, 1e-9)), cy, sx(arl.value + arl.sem), cy))
             if add.sem:
-                parts.append(
-                    f'<line class="errorbar-{fam}" x1="{cx:.2f}" '
-                    f'y1="{sy(max(add.value - add.sem, y_lo)):.2f}" x2="{cx:.2f}" '
-                    f'y2="{sy(min(add.value + add.sem, y_hi)):.2f}" '
-                    f'stroke="{color}"/>'
-                )
+                bars.append((cx, sy(max(add.value - add.sem, y_lo)), cx,
+                             sy(min(add.value + add.sem, y_hi))))
+            parts.extend(f'<line class="errorbar-{fam}" x1="{x1:.2f}" y1="{y1:.2f}" '
+                         f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="{color}"/>'
+                         for x1, y1, x2, y2 in bars)
             parts.append(
                 f'<circle class="marker-{fam}" cx="{cx:.2f}" cy="{cy:.2f}" '
                 f'r="4" fill="{color}"/>'

@@ -27,7 +27,7 @@ strictly precedes min(nu, T); a tie counts as censored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -104,14 +104,7 @@ class MetricEstimate:
     extrapolation_flag: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "sem": self.sem,
-            "n_used": self.n_used,
-            "upper_limit": self.upper_limit,
-            "extrapolation_flag": self.extrapolation_flag,
-        }
+        return asdict(self)
 
 
 def _undefined(name: str) -> MetricEstimate:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import math
@@ -71,6 +72,47 @@ class TestParsers:
         assert ev2.kind == "unif" and ce2.kind == "exp"
         with pytest.raises(CliError):
             parse_family_pair("exp:1")
+
+
+class TestDatasetCommandFlags:
+    """The flags of the three commands that read a dataset, written out:
+    option names -> (dest, default, required, type)."""
+
+    METRICS = "km-arl,km-add,lb-arl,lb-add,naive-arl"
+    SHARED = {
+        "--data": ("data", None, True, None),
+        "--out": ("out", None, True, None),
+        "--min-length": ("min_length", 2, False, int),
+        "--detector": ("detector", None, True, None),
+        "--model": ("model", None, False, None),
+        "--omega": ("omega", 0.0, False, float),
+        "--ewma-lambda": ("ewma_lambda", 0.2, False, float),
+        "--window-size": ("window_size", 30, False, int),
+        "--burn-in": ("burn_in", 30, False, int),
+        "--manifest": ("manifest", None, False, None),
+        "-v --log-level": ("log_level", None, False, None),
+    }
+    OWN = {
+        "evaluate": {"--threshold": ("threshold", None, True, float),
+                     "--metrics": ("metrics", METRICS, False, None)},
+        "curve": {"--svg": ("svg", None, False, None),
+                  "--thresholds": ("thresholds", None, True, None),
+                  "--metrics": ("metrics", METRICS, False, None)},
+        "survival": {"--threshold": ("threshold", None, True, float),
+                     "--kind": ("kind", "arl", False, None)},
+    }
+
+    @pytest.mark.parametrize("command", list(OWN))
+    def test_flags_pinned(self, command):
+        from qcdeval.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+        flags = {" ".join(a.option_strings): (a.dest, a.default, a.required, a.type)
+                 for a in parser._actions if a.dest != "help"}
+        assert flags == {**self.SHARED, **self.OWN[command]}
+        assert parser.get_default("func") is getattr(qcdeval.cli, f"cmd_{command}")
 
 
 class TestSubcommands:
@@ -377,6 +419,25 @@ class TestSubcommands:
                      "--model", "gaussian:0,0.1,0.1", *grid,
                      "--out", str(tmp_path / "o.out")]) == 2
         assert "ewma does not take a likelihood model" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("curve", ["--thresholds", "1:10:x-log"], "bad threshold grid '1:10:x-log'"),
+        ("curve", ["--thresholds", "1:10:3-log", "--metrics", "km-arl,bogus"],
+         "bad metric list 'km-arl,bogus'"),
+        ("evaluate", ["--threshold", "4", "--metrics", "bogus"], "bad metric list 'bogus'"),
+        ("curve", ["--thresholds", "1,nan,30"], "threshold grid must not contain NaN"),
+        ("curve", ["--thresholds", "10:1:3-log"], "thresholds must be strictly increasing"),
+    ])
+    def test_bad_flag_exit_2_before_data_is_read(self, tmp_path, data_file, capsys, command,
+                                                 flags, message):
+        # These flags were read after the data: the run exited 2, but only
+        # after ingest had parsed the file and written its sidecar.
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--data", str(data_file), "--detector", "gsr",
+                     "--model", "gaussian:0,0.1,0.1", *flags,
+                     "--out", str(tmp_path / "o.out")]) == 2
+        assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
     def test_unknown_flag_exit_2(self, capsys):

@@ -279,3 +279,42 @@ def test_window_normal_cost_unchanged_for_finite_variance():
         windows = rng.standard_normal((3, width, features)) * scale
         plain = 0.5 * width * np.log(windows.var(axis=1) + 1e-12).sum(axis=1)
         assert np.array_equal(_normal_cost(windows), plain)
+
+
+@pytest.mark.parametrize("height", [1e308, -1e308])
+def test_window_l1_alarms_on_a_step_near_the_float64_limit(height):
+    # A step to 1e308 overflowed the L1 costs to inf (already in the median's
+    # mean of the two middle values), the gain became inf - inf = NaN, and
+    # the scan read that as no alarm. The step alarms where the one to 1e300,
+    # whose costs stay finite, always did.
+    x = np.zeros(200)
+    x[100:] = height
+    cfg = DetectorConfig(kind="window-l1", threshold=1.0, window_size=10, burn_in=10)
+    assert alarm_frames(x, cfg, np.array([1.0, 1e3])).tolist() == [105, 105]
+
+
+def test_window_l1_gain_past_the_float_range_is_inf():
+    from qcdeval.detectors import _window_frames
+
+    # A step of height M, the largest float64, with w = 5: the gain at t = 32
+    # (three frames of M in the right half) is M, and at t = 33 it is 3M,
+    # past the float range.
+    x = np.zeros(60)
+    x[30:] = np.finfo(np.float64).max
+    cfg = DetectorConfig(kind="window-l1", threshold=1.0, window_size=5, burn_in=0)
+    assert _window_frames(x, cfg, np.array([1e308, np.inf])).tolist() == [32, 33]
+
+
+@pytest.mark.parametrize("height", [1e308, 1e300])
+def test_window_normal_constant_huge_window_takes_the_variance_floor(height):
+    # A constant window of huge frames took log 0 (a divide-by-zero warning,
+    # cost -inf, and NaN gains once both halves were constant); it takes the
+    # variance floor, as an ordinary constant window does.
+    from qcdeval.detectors import _normal_cost
+
+    windows = np.full((1, 10, 1), height)
+    assert _normal_cost(windows).tolist() == (5.0 * np.log([1e-12])).tolist()
+    x = np.zeros(200)
+    x[100:] = height
+    cfg = DetectorConfig(kind="window-normal", threshold=1.0, window_size=10, burn_in=10)
+    assert alarm_frames(x, cfg, np.array([1.0, 1e3])).tolist() == [100, 100]

@@ -113,6 +113,21 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2: bad values shape"):
             ingest(path)
 
+    @pytest.mark.parametrize("record, error", [
+        ({"values": [1.0, 2.0, 3.0], "nu": True}, "changepoint must be a number or null"),
+        ({"values": [1.0, 2.0, 3.0], "nu": "2"}, "changepoint must be a number or null"),
+        ({"values": ["1", "2", "3"], "nu": None}, "values must be JSON numbers"),
+        ({"values": [True, False, True], "nu": None}, "values must be JSON numbers"),
+        ({"values": [[1, 2], ["3", "4"]], "nu": None}, "values must be JSON numbers"),
+    ])
+    def test_bool_or_string_number_line_number(self, tmp_path, record, error):
+        # These were read as numbers: "nu": true as changepoint 1, "2" as 2,
+        # and ["1", "2"] or [true, false] as frames.
+        path = write_jsonl(tmp_path, [{"id": "a", "values": [0.5, 1.5], "nu": 1},
+                                      {"id": "b", **record}])
+        with pytest.raises(ValueError, match=f"malformed record at line 2: {error}"):
+            ingest(path)
+
     def test_round_trip_identity(self, tmp_path, dataset):
         path = tmp_path / "rt.jsonl"
         save_jsonl(dataset, path)
