@@ -20,8 +20,14 @@ Sequences are never matched by id: ``ingest`` rejects a repeated id.
 ``ingest`` parses a regular data file once: it saves the parsed dataset's
 columns and content hash in a sidecar ``.<name>.qcdeval-cache.npz`` beside
 the file, keyed by the SHA-256 of the file's bytes, and loads them from there
-while the bytes match. The sidecar never changes a result, a count or a
-manifest.
+while the bytes match. The sidecar also holds the file's stat fingerprint
+(device, inode, size, mtime and ctime in ns) when no later write can keep
+that stat: the file's mtime and ctime were strictly older than the sidecar's
+temporary file when the file was stat'ed, before its bytes were read. A run
+whose stat matches that fingerprint loads the sidecar without reading the
+file; any other run hashes the file, and a hit by the hash stores the
+fingerprint once. The sidecar never changes a result, a count or a
+manifest, and is safe to delete.
 
 Determinism contract: identical (dataset hash, detector config, grid) yield
 byte-identical CSV: a sequence's first alarms do not depend on the other
@@ -151,7 +157,8 @@ def _iter_csv(fh):
 
 # The ingest cache: a sidecar ``.<name>.qcdeval-cache.npz`` beside a regular
 # data file holds the columns of its parsed dataset and their content hash,
-# keyed by this version, the format and the SHA-256 of the file's bytes.
+# keyed by this version, the format and the SHA-256 of the file's bytes, and,
+# when it can be trusted, the data file's stat fingerprint (see ``_load``).
 _CACHE_VERSION = 2
 _CACHE_SUFFIX = ".qcdeval-cache.npz"
 _HASH_CHUNK = 1 << 20
@@ -164,6 +171,13 @@ def _cache_path(path) -> str:
 
 def _cache_key(fmt: str, digest: str) -> str:
     return f"qcdeval-ingest-cache/{_CACHE_VERSION} {fmt} {digest}"
+
+
+def _fingerprint(st) -> str:
+    """The stat fields that a write to a file moves, as text: a wide inode
+    number or a negative time is kept as it is."""
+    return " ".join(map(str, (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                              st.st_ctime_ns)))
 
 
 class _HashingReader(io.RawIOBase):
@@ -185,18 +199,24 @@ class _HashingReader(io.RawIOBase):
         super().close()
 
 
-def _read_cache(cache: str, key: str):
+def _read_cache(cache: str, key: str, fingerprint: str | None = None):
     """The dataset held by the sidecar, with its stored content hash kept
     (``LabeledDataset.keep_hash``), or None when the sidecar is missing,
-    unreadable or keyed to other bytes. Arrays the reader does not name are
-    never read."""
+    unreadable or keyed to other bytes. With a ``fingerprint``, ``key`` is
+    the key's version and format alone (``_cache_key(fmt, "")``) and the
+    sidecar must hold that stat fingerprint instead of the bytes' digest.
+    Arrays the reader does not name are never read."""
     try:
         with open(cache, "rb") as fh:
             if fh.read(4) != b"PK\x03\x04":  # not a zip file, so not a sidecar
                 return None
             fh.seek(0)
             with np.load(fh) as z:
-                if z["key"].item() != key:
+                stored = z["key"].item()
+                if fingerprint is None:
+                    if stored != key:
+                        return None
+                elif not (stored.startswith(key) and z["stat"].item() == fingerprint):
                     return None
                 dataset = LabeledDataset(
                     ids=json.loads(z["ids"].tobytes()), nu=z["nu"], frames=z["frames"],
@@ -211,30 +231,28 @@ def _read_cache(cache: str, key: str):
     return dataset
 
 
-def _write_cache(cache: str, key: str, dataset: LabeledDataset, mode: int) -> None:
-    """Write the dataset's columns and content hash to the sidecar
-    atomically, with the data file's read and write permissions ``mode``: a
-    temporary file in its folder, then ``os.replace``. A failure leaves no
-    file behind and is only logged. Ids are stored as JSON bytes, so a
-    trailing NUL or a lone surrogate survives. The dataset keeps the hash
-    (``LabeledDataset.keep_hash``), as one read from the sidecar does."""
+def _write_cache(tmp: str, cache: str, key: str, dataset: LabeledDataset, mode: int,
+                 fingerprint: str | None) -> None:
+    """Write the dataset's columns, its content hash and the data file's
+    stat ``fingerprint`` (None: not trusted, so not stored) to the temporary
+    file ``tmp``, with the data file's read and write permissions ``mode``,
+    then move it over the sidecar with ``os.replace``, so the write is
+    atomic. A failure is only logged; the caller removes ``tmp``. Ids are
+    stored as JSON bytes, so a trailing NUL or a lone surrogate survives.
+    The dataset keeps the hash (``LabeledDataset.keep_hash``), as one read
+    from the sidecar does."""
     digest = dataset.content_hash()
     dataset.keep_hash(digest)
-    folder, name = os.path.split(cache)
-    tmp = None
+    stored = {} if fingerprint is None else {"stat": np.array(fingerprint)}
     try:
-        fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fd, mode & 0o666)
+        with open(tmp, "wb") as fh:
+            os.fchmod(fh.fileno(), mode & 0o666)
             np.savez(fh, key=np.array(key), frames=dataset.frames, offsets=dataset.offsets,
                      widths=dataset.widths, nu=dataset.nu, hash=np.array(digest),
-                     ids=np.frombuffer(json.dumps(dataset.ids).encode(), np.uint8))
+                     ids=np.frombuffer(json.dumps(dataset.ids).encode(), np.uint8), **stored)
         os.replace(tmp, cache)
     except OSError as exc:
         log.info("ingest cache not written: %s", exc)
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 def _collect(records) -> LabeledDataset:
@@ -252,33 +270,69 @@ def _collect(records) -> LabeledDataset:
 
 
 def _load(path, fmt: str) -> LabeledDataset:
-    """Every record of the file: from its sidecar when the sidecar's key
-    matches the file's bytes, else parsed, and then cached once every record
-    has parsed. A file that is not a regular file (a FIFO, say) is parsed
-    once and never cached."""
+    """Every record of the file: from its sidecar when the sidecar holds the
+    file's stat fingerprint or its key matches the file's bytes, else
+    parsed, and then cached once every record has parsed. A file that is
+    not a regular file (a FIFO, say) is parsed once and never cached.
+
+    A fingerprint is stored only when it cannot hide a write (git's "racy
+    clean" rule, on the filesystem's own clock): the file is stat'ed after
+    the sidecar's temporary file is created and before any byte is read,
+    and the stat is kept only when the file's mtime and ctime are both
+    strictly older than the temporary file's mtime. A later write then sets
+    ctime (mtime, where ctime is the creation time) past the stored value.
+    A sidecar that matched the bytes but holds no such fingerprint, or a
+    stale one, is rewritten with it."""
     parse, newline = (_iter_jsonl, None) if fmt == "jsonl" else (_iter_csv, "")
-    mode = os.stat(path).st_mode
-    if not stat.S_ISREG(mode):
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
         with open(path, newline=newline, encoding="utf-8") as fh:
             return _collect(parse(fh))
     cache = _cache_path(path)
-    if os.path.exists(cache):
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            while chunk := fh.read(_HASH_CHUNK):
-                digest.update(chunk)
-        dataset = _read_cache(cache, _cache_key(fmt, digest.hexdigest()))
+    cached = os.path.exists(cache)
+    if cached:
+        dataset = _read_cache(cache, _cache_key(fmt, ""), _fingerprint(st))
         if dataset is not None:
             log.info("ingest cache hit: %s", cache)
             return dataset
-    log.info("ingest cache miss: %s", cache)
-    digest = hashlib.sha256()
-    raw = _HashingReader(open(path, "rb", buffering=0), digest)
-    with io.TextIOWrapper(io.BufferedReader(raw, _HASH_CHUNK), newline=newline,
-                          encoding="utf-8") as fh:
-        dataset = _collect(parse(fh))
-    _write_cache(cache, _cache_key(fmt, digest.hexdigest()), dataset, mode)
-    return dataset
+    folder, name = os.path.split(cache)
+    tmp = created = fingerprint = None
+    try:
+        try:
+            fd, tmp = tempfile.mkstemp(dir=folder or ".", prefix=name, suffix=".tmp")
+            os.close(fd)
+            created = os.stat(tmp).st_mtime_ns
+        except OSError as exc:
+            log.info("ingest cache not written: %s", exc)
+        st = os.stat(path)
+        if created is not None and max(st.st_mtime_ns, st.st_ctime_ns) < created:
+            fingerprint = _fingerprint(st)
+        if cached:
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                while chunk := fh.read(_HASH_CHUNK):
+                    digest.update(chunk)
+            key = _cache_key(fmt, digest.hexdigest())
+            dataset = _read_cache(cache, key)
+            if dataset is not None:
+                log.info("ingest cache hit: %s", cache)
+                if fingerprint is not None:
+                    _write_cache(tmp, cache, key, dataset, st.st_mode, fingerprint)
+                return dataset
+        log.info("ingest cache miss: %s", cache)
+        digest = hashlib.sha256()
+        raw = _HashingReader(open(path, "rb", buffering=0), digest)
+        with io.TextIOWrapper(io.BufferedReader(raw, _HASH_CHUNK), newline=newline,
+                              encoding="utf-8") as fh:
+            dataset = _collect(parse(fh))
+        if created is not None:
+            _write_cache(tmp, cache, _cache_key(fmt, digest.hexdigest()), dataset, st.st_mode,
+                         fingerprint)
+        return dataset
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):  # gone once it replaced the sidecar
+                os.unlink(tmp)
 
 
 def ingest(path, fmt: str = "jsonl", min_length: int = 2) -> LabeledDataset:

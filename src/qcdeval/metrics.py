@@ -212,14 +212,23 @@ def _km(name, n, a, value, second_moment, tail, t_max):
 
 
 def _mean(name, arr):
-    if arr.size == 0:
+    """The mean and its SEM, bit for bit ``arr.mean()`` and
+    ``np.std(arr, ddof=1) / sqrt(n)``: the same pairwise sums and divisions,
+    without their per-call overhead."""
+    n = arr.size
+    if n == 0:
         return _undefined(name)
-    sem = float(np.std(arr, ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    mean = np.add.reduce(arr) / n
+    sem = 0.0
+    if n > 1:
+        d = arr - mean
+        d *= d
+        sem = math.sqrt(np.add.reduce(d) / (n - 1)) / math.sqrt(n)
     return MetricEstimate(
         name=name,
-        value=float(arr.mean()),
-        sem=sem,
-        n_used=arr.size,
+        value=float(mean),
+        sem=float(sem),
+        n_used=n,
         upper_limit=None,
     )
 

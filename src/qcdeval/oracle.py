@@ -1,6 +1,6 @@
 """Ground-truth oracles and numerical theory checks.
 
-Three routes live here:
+Two routes live here:
 
 * Monte-Carlo true run length / detection delay on effectively infinite
   streams (``true_arl_mc`` / ``true_add_mc``), through one per-frame loop
@@ -12,9 +12,6 @@ Three routes live here:
   (``rmst_km_batch``, the restricted-mean integral of the KM metrics) that
   must fall inside the bounds. A cell draws, censors and fits its
   replications one block at a time, so it holds one block's memory.
-* An empirical check of the truncation-bias ordering between the
-  censoring-aware and the selection-based estimators
-  (``truncation_ordering_check``).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from numpy.polynomial.legendre import leggauss
 
 from ._kernels import tie_levels
 from .detectors import DetectorConfig, LikelihoodModel, detector_levels
-from .metrics import MetricEstimate
 from .simulate import _checked_seed, _is_int
 from .survival import _BLOCK_SAMPLES, rmst_km_batch
 
@@ -39,8 +35,6 @@ __all__ = [
     "bias_bounds",
     "true_arl_mc",
     "true_add_mc",
-    "truncation_ordering_check",
-    "OrderingReport",
 ]
 
 
@@ -440,51 +434,3 @@ def true_add_mc(
     else:
         raise ValueError(f"unsupported changepoint law for the oracle: {law[0]}")
     return _estimate(model, detector, nus, nus, horizon_cap, rng)
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    """Empirical truncation-bias ordering: selection-based bias below
-    censoring-aware bias below zero, each judged at 3 combined SEMs."""
-
-    km_value: float
-    lb_value: float
-    true_value: float
-    km_bias: float
-    lb_bias: float
-    status: str  # "verified" | "inconclusive" | "violated"
-
-
-def _compare(lhs: float, rhs: float, tol: float) -> str:
-    if lhs <= rhs - tol:
-        return "verified"
-    if lhs <= rhs + tol:
-        return "inconclusive"
-    return "violated"
-
-
-def truncation_ordering_check(
-    km: MetricEstimate, lb: MetricEstimate, truth: MCEstimate
-) -> OrderingReport:
-    if km.value is None or lb.value is None:
-        raise ValueError("both estimates must be defined for the ordering check")
-    km_bias = km.value - truth.value
-    lb_bias = lb.value - truth.value
-    tol_pair = 3.0 * math.sqrt(km.sem**2 + lb.sem**2)
-    tol_zero = 3.0 * math.sqrt(km.sem**2 + truth.sem**2)
-    first = _compare(lb_bias, km_bias, tol_pair)
-    second = _compare(km_bias, 0.0, tol_zero)
-    if "violated" in (first, second):
-        status = "violated"
-    elif "inconclusive" in (first, second):
-        status = "inconclusive"
-    else:
-        status = "verified"
-    return OrderingReport(
-        km_value=km.value,
-        lb_value=lb.value,
-        true_value=truth.value,
-        km_bias=km_bias,
-        lb_bias=lb_bias,
-        status=status,
-    )

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,43 @@ def _sidecar(path):
     return path.parent / f".{path.name}.qcdeval-cache.npz"
 
 
+def _settle(path):
+    """Wait until the filesystem's clock, read as the mtime of a new file
+    beside ``path``, has passed ``path``'s mtime and ctime, so that a
+    sidecar written from now on trusts the file's stat fingerprint."""
+    st = os.stat(path)
+    probe = path.with_name("clock-probe")
+    for _ in range(2000):
+        probe.touch()
+        now = probe.stat().st_mtime_ns
+        probe.unlink()
+        if now > max(st.st_mtime_ns, st.st_ctime_ns):
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"the filesystem clock never passed the times of {path}")
+
+
+def _stored_stat(path):
+    """The stat fingerprint held by the file's sidecar, or None."""
+    with np.load(_sidecar(path)) as z:
+        return z["stat"].item() if "stat" in z.files else None
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """One entry per ``hashlib.sha256`` call, anywhere in the program."""
+    calls, real = [], hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _hashed_ingest(data, calls):
+    """``ingest(data)`` and the number of SHA-256 hashes it started."""
+    before = len(calls)
+    dataset = ingest(data)
+    return dataset, len(calls) - before
+
+
 def assert_same_dataset(a, b):
     assert a.metas == b.metas
     assert a.ingest_report == b.ingest_report
@@ -207,8 +245,8 @@ def assert_same_dataset(a, b):
 def _uncached(monkeypatch):
     """Ingest as the program did before the cache: parse every time."""
     with monkeypatch.context() as m:
-        m.setattr(harness, "_read_cache", lambda cache, key: None)
-        m.setattr(harness, "_write_cache", lambda cache, key, dataset, mode: None)
+        m.setattr(harness, "_read_cache", lambda cache, key, fingerprint=None: None)
+        m.setattr(harness, "_write_cache", lambda *args: None)
         yield
 
 
@@ -380,10 +418,11 @@ class TestIngestCache:
 
     def test_two_ingests_in_one_process_both_read_the_sidecar(self, tmp_path, monkeypatch):
         data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        _settle(data)  # so the first write stores a trusted fingerprint
         real, reads = harness._read_cache, []
 
-        def counted(cache, key):
-            records = real(cache, key)
+        def counted(cache, key, fingerprint=None):
+            records = real(cache, key, fingerprint)
             reads.append(records is not None)
             return records
 
@@ -396,12 +435,14 @@ class TestIngestCache:
 
 
 class TestFlatSidecar:
-    def test_sidecar_with_line_numbers_hits(self, tmp_path, monkeypatch, caplog):
+    def test_sidecar_with_line_numbers_hits(self, tmp_path, monkeypatch, caplog, sha256_calls):
         # A sidecar of the current version that also holds an array the
         # reader does not name (each record's line number, as in the layout
-        # before the flat dataset) must hit.
+        # before the flat dataset) and no stat fingerprint must hit, and is
+        # then rewritten once with the fingerprint.
         caplog.set_level(logging.INFO, logger="qcdeval.harness")
         data = _write_cache_input(tmp_path, "jsonl-2d", _cache_records("jsonl-2d"))
+        _settle(data)
         with _uncached(monkeypatch):
             want = ingest(data)
             parsed = harness._load(data, "jsonl")
@@ -412,11 +453,20 @@ class TestFlatSidecar:
                      hash=np.array(parsed.content_hash()),
                      lines=np.arange(len(parsed), dtype=np.int64) + 1,
                      ids=np.frombuffer(json.dumps(parsed.ids).encode(), np.uint8))
-        before = _sidecar(data).read_bytes()
+        with np.load(_sidecar(data)) as z:
+            before = {name: z[name].tobytes() for name in z.files if name != "lines"}
         caplog.clear()
-        assert_same_dataset(ingest(data), want)
-        assert _cache_lines(caplog) == ["ingest cache hit"]
-        assert _sidecar(data).read_bytes() == before
+        got, hashes = _hashed_ingest(data, sha256_calls)
+        assert_same_dataset(got, want)
+        assert hashes == 1  # the file's bytes, to check the key
+        with np.load(_sidecar(data)) as z:
+            assert {name: z[name].tobytes() for name in before} == before
+            assert sorted(z.files) == sorted([*before, "stat"])
+        assert _stored_stat(data) == harness._fingerprint(os.stat(data))
+        got, hashes = _hashed_ingest(data, sha256_calls)
+        assert_same_dataset(got, want)
+        assert hashes == 0
+        assert _cache_lines(caplog) == ["ingest cache hit"] * 2
 
     @pytest.mark.parametrize("kind", TestIngestCache.KINDS)
     def test_hit_reads_the_sidecar_frames_without_copies(self, tmp_path, kind, monkeypatch):
@@ -433,6 +483,120 @@ class TestFlatSidecar:
         for vals in hit.values:
             assert np.shares_memory(vals, hit.frames)
         assert_same_dataset(hit, miss)
+
+
+class TestStatFingerprint:
+    """A sidecar that holds the data file's stat fingerprint is loaded
+    without hashing the file for as long as the file's stat matches it; the
+    fingerprint is stored only when no later write can keep that stat."""
+
+    def _data(self, tmp_path):
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        _settle(data)
+        return data
+
+    def test_unchanged_file_is_not_hashed(self, tmp_path, caplog, sha256_calls):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = self._data(tmp_path)
+        want = ingest(data)
+        assert _stored_stat(data) == harness._fingerprint(os.stat(data))
+        for _ in range(2):
+            got, hashes = _hashed_ingest(data, sha256_calls)
+            assert hashes == 0
+            assert_same_dataset(got, want)
+        assert _cache_lines(caplog) == ["ingest cache miss"] + ["ingest cache hit"] * 2
+
+    def test_same_size_edit_with_mtime_restored_misses(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = self._data(tmp_path)
+        ingest(data)
+        assert _stored_stat(data) is not None
+        before = os.stat(data)
+        data.write_bytes(data.read_bytes().replace(b'"s5"', b'"t5"'))
+        os.utime(data, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(data)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns)
+        ids = [m.id for m in ingest(data).metas]
+        assert "t5" in ids and "s5" not in ids
+        assert _cache_lines(caplog) == ["ingest cache miss"] * 2
+
+    def test_future_mtime_is_never_trusted(self, tmp_path, caplog, sha256_calls):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = _write_cache_input(tmp_path, "jsonl-1d", _cache_records("jsonl-1d"))
+        future = time.time_ns() + 3600 * 10**9
+        os.utime(data, ns=(future, future))
+        want = ingest(data)
+        for _ in range(2):
+            assert _stored_stat(data) is None
+            got, hashes = _hashed_ingest(data, sha256_calls)
+            assert hashes == 1
+            assert_same_dataset(got, want)
+        assert _cache_lines(caplog) == ["ingest cache miss"] + ["ingest cache hit"] * 2
+
+    def test_touch_hashes_once_and_rekeys(self, tmp_path, caplog, sha256_calls):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+        data = self._data(tmp_path)
+        want = ingest(data)
+        old = _stored_stat(data)
+        os.utime(data)  # the same bytes, a new mtime and ctime
+        _settle(data)
+        got, hashes = _hashed_ingest(data, sha256_calls)
+        assert hashes == 1  # hashed to check the key, not parsed
+        assert_same_dataset(got, want)
+        assert _stored_stat(data) == harness._fingerprint(os.stat(data)) != old
+        got, hashes = _hashed_ingest(data, sha256_calls)
+        assert hashes == 0
+        assert_same_dataset(got, want)
+        assert _cache_lines(caplog) == ["ingest cache miss"] + ["ingest cache hit"] * 2
+
+    def test_matching_fingerprint_of_a_csv_key_is_not_read(self, tmp_path, monkeypatch):
+        data = self._data(tmp_path)
+        with _uncached(monkeypatch):
+            want = _cli_outputs(data, tmp_path / "uncached", "1d")
+        # Columns of another dataset, keyed as CSV, with the .jsonl file's stat.
+        other = LabeledDataset.from_sequences(["other"], [np.arange(40.0) / 10], [INF])
+        with open(_sidecar(data), "wb") as fh:
+            np.savez(fh, key=np.array(harness._cache_key("csv", "0" * 64)),
+                     stat=np.array(harness._fingerprint(os.stat(data))), frames=other.frames,
+                     offsets=other.offsets, widths=other.widths, nu=other.nu,
+                     hash=np.array(other.content_hash()),
+                     ids=np.frombuffer(json.dumps(other.ids).encode(), np.uint8))
+        assert _cli_outputs(data, tmp_path / "out", "1d") == want
+        with np.load(_sidecar(data)) as z:
+            assert z["key"].item().startswith(harness._cache_key("jsonl", ""))
+
+    def test_failed_parse_or_write_leaves_no_tmp(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="qcdeval.harness")
+
+        def tmp_files():
+            return [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+        bad = write_jsonl(tmp_path, [{"id": "x", "values": [0.5, 0.25], "nu": None},
+                                     {"id": "x", "values": [0.5, 0.25], "nu": None}], "bad.jsonl")
+        with pytest.raises(ValueError, match="duplicate id"):
+            ingest(bad)
+        assert tmp_files() == []
+
+        def refuse(*args, **kwargs):
+            raise OSError("refused")
+
+        data = self._data(tmp_path)
+        with monkeypatch.context() as m:  # the write after a miss
+            m.setattr(np, "savez", refuse)
+            want = ingest(data)
+        assert not _sidecar(data).exists() and tmp_files() == []
+        ingest(data)
+        os.utime(data)
+        _settle(data)
+        with monkeypatch.context() as m:  # the re-key after a hit
+            m.setattr(np, "savez", refuse)
+            assert_same_dataset(ingest(data), want)
+        assert _stored_stat(data) != harness._fingerprint(os.stat(data))
+        assert tmp_files() == []
+        assert _cache_lines(caplog) == [
+            "ingest cache miss", "ingest cache miss", "ingest cache not written",
+            "ingest cache miss", "ingest cache hit", "ingest cache not written"]
 
 
 class TestStoredHash:

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from qcdeval.metrics import (
     INF,
     DetectionOutcome,
     SequenceMeta,
+    _mean,
     add_samples,
     arl_samples,
     compute_metric,
@@ -175,3 +177,27 @@ class TestInvariants:
         # later on a negative delay sample.
         with pytest.raises(ValueError, match="^a: changepoint 5.0 does not index"):
             km_add([SequenceMeta("a", 3, 5.0)], [DetectionOutcome("a", INF)])
+
+
+class TestSelectionMean:
+    """``metrics._mean`` is bit for bit ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)``: the same pairwise sums, in the same order."""
+
+    @pytest.mark.parametrize("case", ["n=1", "n=2", "tied-integers", "n>8192"])
+    def test_bit_identical_to_numpy(self, case):
+        rng = np.random.default_rng(17)
+        arr = {
+            "n=1": np.array([123.456]),
+            "n=2": np.array([0.1, 0.7]),
+            # Many equal values: a sum that depends on its order would show.
+            "tied-integers": rng.integers(0, 7, 1537).astype(np.float64),
+            # Past numpy's 8192-element pairwise block, with a wide spread.
+            "n>8192": rng.exponential(250.0, 20_011) * rng.choice([1e-3, 1.0, 1e3], 20_011),
+        }[case]
+        got = _mean("lb-add", arr)
+        n = arr.size
+        want_sem = float(np.std(arr, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert np.float64(got.value).tobytes() == np.mean(arr).tobytes()
+        assert np.float64(got.sem).tobytes() == np.float64(want_sem).tobytes()
+        assert type(got.value) is type(got.sem) is float
+        assert got.n_used == n

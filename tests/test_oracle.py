@@ -7,7 +7,6 @@ from numpy.polynomial.legendre import leggauss
 
 from qcdeval.detectors import DetectorConfig, LikelihoodModel, alarm_frames, detector_levels
 from qcdeval import oracle
-from qcdeval.metrics import MetricEstimate
 from qcdeval.oracle import (
     Dist,
     MCEstimate,
@@ -15,7 +14,6 @@ from qcdeval.oracle import (
     bias_bounds,
     true_add_mc,
     true_arl_mc,
-    truncation_ordering_check,
 )
 from qcdeval.survival import rmst_km_batch
 
@@ -600,40 +598,3 @@ class TestGsrStep:
         s = np.concatenate([rng.normal(0.0, 1.0, 20_000), rng.normal(0.0, 30.0, 20_000),
                             rng.normal(0.0, 800.0, 2000)])
         np.testing.assert_array_max_ulp(self.step(s), np.logaddexp(s, 0.0), maxulp=3)
-
-
-class TestOrderingCheck:
-    def est(self, name, value, sem):
-        return MetricEstimate(
-            name=name, value=value, sem=sem, n_used=10, upper_limit=None
-        )
-
-    def truth(self, value, sem=0.01):
-        from qcdeval.oracle import MCEstimate
-
-        return MCEstimate(value=value, sem=sem, n_reps=1000, cap_fraction=0.0)
-
-    def test_verified_ordering(self):
-        rep = truncation_ordering_check(
-            self.est("km-arl", 140.0, 1.0),
-            self.est("lb-arl", 90.0, 1.0),
-            self.truth(150.0),
-        )
-        assert rep.status == "verified"
-        assert rep.lb_bias <= rep.km_bias <= 0.0
-
-    def test_violated_ordering(self):
-        rep = truncation_ordering_check(
-            self.est("km-arl", 90.0, 0.5),
-            self.est("lb-arl", 140.0, 0.5),
-            self.truth(150.0),
-        )
-        assert rep.status == "violated"
-
-    def test_inconclusive_near_zero_bias(self):
-        rep = truncation_ordering_check(
-            self.est("km-arl", 150.0, 1.0),
-            self.est("lb-arl", 149.0, 1.0),
-            self.truth(150.0),
-        )
-        assert rep.status == "inconclusive"
